@@ -55,14 +55,6 @@ struct HarnessRow {
   bool oversubscribed;
 };
 
-struct StripRow {
-  std::size_t threads;
-  double wall_s;
-  double reception;
-  std::uint64_t frames;
-  bool oversubscribed;
-};
-
 }  // namespace
 
 int main() {
@@ -153,68 +145,6 @@ int main() {
   std::printf("  best speedup: %.2fx on %zu threads (bit-identical results)\n",
               harness.front().wall_s / std::max(best->wall_s, 1e-9), best->threads);
 
-  // --- Part 3: intra-run strip parallelism --------------------------------
-  // One dense intra-area run decomposed into 4 spatial strips, executed at
-  // every worker count of the ladder. The strip count is a model parameter
-  // (fixed at 4 for the whole ladder) so every row must reproduce the same
-  // reception and frame count bit-for-bit; threads only move the wall
-  // clock. Rows with threads > hardware cores are flagged oversubscribed
-  // and EXCLUDED from the reported speedup — on a 1-core CI host every
-  // multi-threaded row is excluded and the ladder degenerates to a
-  // determinism check, which is exactly what such a host can verify.
-  std::printf("\n[3] Intra-run strip ladder (intra-area flood, 4 strips, %d s, seed 1)\n",
-              static_cast<int>(sweep_seconds));
-
-  std::vector<StripRow> ladder;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    scenario::HighwayConfig cfg;
-    cfg.prefill_spacing_m = 15.0;
-    cfg.entry_spacing_m = 15.0;
-    cfg.sim_duration = sim::Duration::seconds(sweep_seconds);
-    cfg.seed = 1;
-    cfg.attack = scenario::AttackKind::kNone;
-    cfg.strips = 4;
-    cfg.strip_threads = threads;
-
-    // Best of two reps, like Part 1: one scenario run is short enough for
-    // scheduler noise to swamp a 2x delta on a loaded host.
-    double secs = 1e300;
-    StripRow row{};
-    for (int rep = 0; rep < 2; ++rep) {
-      scenario::HighwayScenario scenario{cfg};
-      std::optional<scenario::IntraAreaResult> result;
-      secs = std::min(secs, wall_seconds([&] { result.emplace(scenario.run_intra_area()); }));
-      row.reception = result->overall_reception();
-      row.frames = scenario.medium().frames_sent();
-    }
-    row.threads = threads;
-    row.wall_s = secs;
-    row.oversubscribed = threads > cores;
-    ladder.push_back(row);
-    std::printf("  strip_threads=%-3zu wall=%7.3f s  reception=%8.5f  frames=%-8llu%s%s\n",
-                threads, secs, row.reception, static_cast<unsigned long long>(row.frames),
-                threads == 1 ? "  (reference)" : "",
-                row.oversubscribed ? "  [oversubscribed: excluded from speedup]" : "");
-    if (threads != 1 && (ladder.front().reception != row.reception ||
-                         ladder.front().frames != row.frames)) {
-      std::printf("  ERROR: strip output differs across worker counts — determinism broken\n");
-      return 1;
-    }
-  }
-  const auto eligible = std::min_element(
-      ladder.begin() + 1, ladder.end(), [](const StripRow& a, const StripRow& b) {
-        if (a.oversubscribed != b.oversubscribed) return !a.oversubscribed;
-        return a.wall_s < b.wall_s;
-      });
-  if (eligible->oversubscribed) {
-    std::printf("  strip speedup: n/a (every multi-threaded row oversubscribed on %zu core(s); "
-                "determinism verified)\n", cores);
-  } else {
-    std::printf("  strip speedup: %.2fx on %zu threads (bit-identical results)\n",
-                ladder.front().wall_s / std::max(eligible->wall_s, 1e-9), eligible->threads);
-  }
-
   // --- JSON trajectory ----------------------------------------------------
   const char* out = std::getenv("VGR_BENCH_JSON");
   const std::string path = out != nullptr ? out : "BENCH_scale.json";
@@ -241,15 +171,6 @@ int main() {
                  "\"oversubscribed\": %s}%s\n",
                  r.threads, r.wall_s, r.attack_rate, r.oversubscribed ? "true" : "false",
                  i + 1 < harness.size() ? "," : "");
-  }
-  std::fprintf(fjson, "  ],\n  \"strip_ladder\": [\n");
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    const StripRow& r = ladder[i];
-    std::fprintf(fjson,
-                 "    {\"strip_threads\": %zu, \"wall_s\": %.3f, \"reception\": %.17g, "
-                 "\"frames\": %llu, \"oversubscribed\": %s}%s\n",
-                 r.threads, r.wall_s, r.reception, static_cast<unsigned long long>(r.frames),
-                 r.oversubscribed ? "true" : "false", i + 1 < ladder.size() ? "," : "");
   }
   std::fprintf(fjson, "  ]\n}\n");
   std::fclose(fjson);

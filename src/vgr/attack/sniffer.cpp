@@ -26,7 +26,6 @@ void Sniffer::attach(double attack_range_m) {
   // not just as far as a stock vehicle radio reaches (paper §III-A).
   node.rx_range_m = attack_range_m;
   node.promiscuous = true;  // sniff unicast forwards too
-  node.home = &events_;     // strip affinity follows the sniffer's queue
   radio_ = medium_.add_node(std::move(node),
                             [this](const phy::Frame& f, phy::RadioId) { capture(f); });
 }

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "vgr/sim/strip_executor.hpp"
-
 namespace vgr::phy {
 
 Medium::Medium(sim::EventQueue& events, AccessTechnology tech, sim::Rng rng)
-    : events_{events}, plane_{events.plane()}, tech_{tech}, rng_{rng} {}
+    : events_{events}, tech_{tech}, rng_{rng} {}
 
 RadioId Medium::add_node(NodeConfig config, RxCallback rx) {
   assert(config.position && "node needs a position source");
@@ -62,26 +60,12 @@ sim::Duration Medium::busy_time(RadioId id) const {
 }
 
 void Medium::extend_busy(Node& node, sim::TimePoint from, sim::TimePoint until) {
-  // Serially every busy interval starts at the current event time, so time
-  // is only ever appended monotonically: the union of all intervals grows
-  // by the part of [from, until] not already covered by the previous
-  // horizon. Cross-strip arrivals replay the same formula at arrival time;
-  // the result is still the exact interval union unless two overlapping
-  // frames arrive out of interval order, where the overlap is credited once
-  // (a documented undercount, see docs/performance.md).
+  // Every busy interval starts at the current event time, so time is only
+  // ever appended monotonically: the union of all intervals grows by the
+  // part of [from, until] not already covered by the previous horizon.
   if (until <= node.busy_until) return;
   node.busy_accum += until - std::max(node.busy_until, from);
   node.busy_until = until;
-}
-
-sim::TimePoint Medium::send_now_(const Node& sender_node) const {
-  if (plane_ == nullptr) return events_.now();
-  const std::uint32_t strip = sim::StripPlane::current_strip();
-  if (strip == 0) return events_.now();  // serial phase: global wheel clock
-  sim::EventQueue* home = sender_node.config.home;
-  assert(home != nullptr && home->strip() == strip &&
-         "a strip event may only transmit from its own node");
-  return home->now();
 }
 
 bool Medium::receivable(const Node& to, geo::Position from_pos, geo::Position to_pos,
@@ -115,25 +99,11 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
                            double range_override_m, const FaultInjector::FrameDecision& faults) {
   Node& sender_node = node_at(sender);
   assert(sender_node.alive && "unknown sender");
-#ifndef NDEBUG
-  if (plane_ != nullptr) {
-    // Strip-parallel legality gates (the scenario enforces these before
-    // attaching a plane): every stochastic or cross-receiver-coupled
-    // channel feature stays off, so the fan-out below is pure function of
-    // (sender, frame, index snapshot) and safe to run concurrently.
-    assert((injector_ == nullptr || !injector_->enabled()) &&
-           "fault injection is serial-only");
-    assert(reception_model_ == ReceptionModel::kDisk && "fading draws are serial-only");
-    assert(!interference_ && "interference bookkeeping is serial-only");
-    assert(frame->msg->signed_portion_cached() &&
-           "an envelope must be cache-warm before it can cross strips");
-  }
-#endif
-  const sim::TimePoint now = send_now_(sender_node);
+  const sim::TimePoint now = events_.now();
   const geo::Position from = sender_node.config.position();
   const double range = range_override_m > 0.0 ? range_override_m : sender_node.config.tx_range_m;
 
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++frames_sent_;
   // Arithmetic size — no serialization on the airtime path. The per-frame
   // wire size is exact (Codec::wire_size == encode().size()); the optional
   // overhead models the link-layer envelope around it (see
@@ -188,21 +158,16 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
   // query radius. Visit order is ascending RadioId in both paths so event
   // scheduling (and thus the run) is independent of hash-map layout.
   ensure_index();
-  // Query scratch: the member serially (zero change), a thread-local under
-  // a strip plane where several workers fan out concurrently.
-  static thread_local std::vector<std::uint32_t> tls_candidates;
-  std::vector<std::uint32_t>& candidates = plane_ == nullptr ? candidates_ : tls_candidates;
   if (use_index_) {
-    grid_.query_into(from, std::max(range, max_rx_range_m_), candidates);
+    grid_.query_into(from, std::max(range, max_rx_range_m_), candidates_);
   } else {
-    candidates.clear();
+    candidates_.clear();
     for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].alive) candidates.push_back(i + 1);  // slot i is id i+1
+      if (nodes_[i].alive) candidates_.push_back(i + 1);  // slot i is id i+1
     }
   }
 
-  const std::uint32_t src_strip = plane_ == nullptr ? 0 : sim::StripPlane::current_strip();
-  for (const std::uint32_t id : candidates) {
+  for (const std::uint32_t id : candidates_) {
     if (id == sender.value) continue;
     Node& node = nodes_[id - 1];
     if (!node.alive) continue;
@@ -212,15 +177,9 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
     const double dist = geo::distance(from, to_pos);
     if (!receivable(node, from, to_pos, range, dist)) continue;
     // Carrier sense: every node in radio range perceives the channel busy
-    // for the frame's airtime, regardless of link-layer addressing. A
-    // receiver on another strip is owned by another worker right now, so
-    // its horizon is extended by the posted closure at arrival instead.
+    // for the frame's airtime, regardless of link-layer addressing.
     const sim::TimePoint heard_until = now + tx_time + propagation_delay(dist);
-    sim::EventQueue* rx_home = plane_ == nullptr ? nullptr : node.config.home;
-    assert((plane_ == nullptr || rx_home != nullptr) &&
-           "every radio needs a home handle under a strip plane");
-    const bool cross_strip = rx_home != nullptr && rx_home->strip() != src_strip;
-    if (!cross_strip) extend_busy(node, now, heard_until);
+    extend_busy(node, now, heard_until);
 
     // Interference bookkeeping: any airtime overlap at this receiver
     // corrupts both frames (no capture effect). Frames addressed elsewhere
@@ -253,27 +212,7 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
     // neither broadcast nor addressed to them. Promiscuous sniffers see all.
     const bool deliverable = node.config.promiscuous || frame->dst.is_broadcast() ||
                              frame->dst == node.config.mac;
-    if (!deliverable && !cross_strip) continue;
-
-    if (cross_strip) {
-      // One mailbox post merges carrier sense and delivery: with faults and
-      // interference gated off, the arrival instant IS heard_until, so the
-      // closure replays the busy interval [now, heard_until] retroactively
-      // and then (if addressed here) delivers. The plane merges posts in
-      // (timestamp, source strip, sequence) order, so the receiving wheel's
-      // schedule is independent of worker count.
-      plane_->post(*rx_home, heard_until,
-                   [this, rx_id = RadioId{id}, frame_ptr = frame, sender, tx_start = now,
-                    heard_until, deliverable] {
-                     Node& receiver = node_at(rx_id);
-                     if (!receiver.alive) return;
-                     extend_busy(receiver, tx_start, heard_until);
-                     if (!deliverable) return;
-                     frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-                     receiver.rx(*frame_ptr, sender);
-                   });
-      continue;
-    }
+    if (!deliverable) continue;
 
     // Delivery-level faults: each (frame, receiver) pair independently
     // suffers clean loss or byte corruption. Corruption reads the message's
@@ -294,19 +233,14 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
 
     const sim::Duration delay = tx_time + propagation_delay(dist) + faults.extra_delay;
     // Deliver via the event queue so reception ordering is global and the
-    // callback runs after the frame's airtime, like a real channel. Under a
-    // strip plane a same-strip delivery lands on the receiver's home wheel
-    // (the one running right now) through the allocation-free template
-    // path; serially the target is the medium's own queue, exactly as
-    // before.
-    sim::EventQueue& dstq = rx_home == nullptr ? events_ : *rx_home;
+    // callback runs after the frame's airtime, like a real channel.
     const RadioId rx_id{id};
-    dstq.schedule_at(now + delay, [this, rx_id, frame_ptr = std::move(deliver_ptr), sender,
-                                   corrupted = std::move(corrupted)] {
+    events_.schedule_at(now + delay, [this, rx_id, frame_ptr = std::move(deliver_ptr), sender,
+                                      corrupted = std::move(corrupted)] {
       if (corrupted && *corrupted) return;
       const Node& receiver = node_at(rx_id);
       if (!receiver.alive) return;
-      frames_delivered_.fetch_add(1, std::memory_order_relaxed);
+      ++frames_delivered_;
       receiver.rx(*frame_ptr, sender);
     });
   }
@@ -314,17 +248,6 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
 
 void Medium::ensure_index() {
   if (!use_index_) return;
-  if (plane_ != nullptr) {
-    // Strip-parallel runs pin rebuilds to the serial phase: prepare_index
-    // is registered as a plane hook, so by the time a worker transmits the
-    // index is settled and this is a pure read. Movement happens on the
-    // global mobility tick (also serial), hence the kExplicit requirement.
-    assert(index_mode_ == IndexMode::kExplicit &&
-           "strip-parallel runs require the explicit index cadence");
-    assert((!index_dirty_ || sim::StripPlane::current_strip() == 0) &&
-           "a worker observed a dirty index: invalidation inside a window");
-    if (!index_dirty_) return;
-  }
   // In kPerEvent mode any event-queue progress invalidates the snapshot:
   // positions only move inside event callbacks, so a snapshot taken within
   // the currently-running callback is exact until the next one fires.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -99,13 +98,6 @@ class Medium {
     /// it can reach and what it can overhear (§III-A, §IV-A).
     double rx_range_m{0.0};
     bool promiscuous{false};
-    /// Strip-plane scheduling handle of the node's owner (router/sniffer).
-    /// nullptr — the default — means the node has no strip affinity and the
-    /// medium schedules every delivery on its own queue, exactly as before
-    /// strips existed. Under a StripPlane the owner sets this to its own
-    /// handle so same-strip deliveries stay on the owner's wheel and
-    /// cross-strip ones route through the plane's mailboxes.
-    sim::EventQueue* home{nullptr};
   };
 
   /// Registers a node; `rx` fires for every frame the node receives.
@@ -129,9 +121,7 @@ class Medium {
   /// default — the paper's simulator ignores interference — and available
   /// for ablation studies.
   void set_interference(bool on) { interference_ = on; }
-  [[nodiscard]] std::uint64_t frames_collided() const {
-    return frames_collided_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t frames_collided() const { return frames_collided_; }
 
   /// Installs an obstruction predicate (empty = free space everywhere).
   void set_obstruction(ObstructionFn fn) { obstruction_ = std::move(fn); }
@@ -197,19 +187,10 @@ class Medium {
   /// Number of index rebuilds so far (perf introspection).
   [[nodiscard]] std::uint64_t index_rebuilds() const { return index_rebuilds_; }
 
-  /// Serial-phase index refresh point for strip-parallel runs: registered
-  /// as a StripPlane serial hook so a dirty index is always rebuilt between
-  /// windows — workers only ever read a settled index (and assert so).
-  void prepare_index() { ensure_index(); }
-
   [[nodiscard]] AccessTechnology technology() const { return tech_; }
   [[nodiscard]] std::size_t node_count() const { return live_nodes_; }
-  [[nodiscard]] std::uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t frames_delivered() const {
-    return frames_delivered_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
+  [[nodiscard]] std::uint64_t frames_delivered() const { return frames_delivered_; }
 
  private:
   struct Node {
@@ -233,9 +214,8 @@ class Medium {
 
   /// Extends `node`'s carrier-sense horizon to `until`, crediting the time
   /// in [from, until] not already covered by the previous horizon to its
-  /// busy-time accumulator. Serial callers pass the current event time as
-  /// `from` (intervals begin at the send instant); the cross-strip delivery
-  /// path replays the same interval retroactively at arrival time.
+  /// busy-time accumulator. `from` is the send instant (the current event
+  /// time), so intervals begin there.
   void extend_busy(Node& node, sim::TimePoint from, sim::TimePoint until);
 
   /// Transmit body shared by the public entry point and fault-injected
@@ -251,16 +231,7 @@ class Medium {
   /// out of the index). No-op while the index is current.
   void ensure_index();
 
-  /// Resolves the simulation clock for a transmission issued by
-  /// `sender_node`'s owner: serially this is `events_.now()`; under a strip
-  /// plane it is the clock of the wheel the calling event is running on
-  /// (the owner's home wheel, or the global wheel in the serial phase).
-  [[nodiscard]] sim::TimePoint send_now_(const Node& sender_node) const;
-
   sim::EventQueue& events_;
-  /// Non-null when `events_` belongs to a StripPlane: deliveries then route
-  /// per-receiver to home wheels (same strip) or mailboxes (cross strip).
-  sim::StripPlane* plane_{nullptr};
   AccessTechnology tech_;
   sim::Rng rng_;
   ReceptionModel reception_model_{ReceptionModel::kDisk};
@@ -286,13 +257,9 @@ class Medium {
   std::size_t live_nodes_{0};
   bool interference_{false};
   std::size_t airtime_overhead_bytes_{0};
-  /// Relaxed atomics: under a strip plane deliveries (and forwards they
-  /// trigger) run on worker threads concurrently. Totals are sums, so the
-  /// counts stay deterministic; serially the relaxed ops compile to plain
-  /// increments on x86.
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_delivered_{0};
-  std::atomic<std::uint64_t> frames_collided_{0};
+  std::uint64_t frames_sent_{0};
+  std::uint64_t frames_delivered_{0};
+  std::uint64_t frames_collided_{0};
 
   // Spatial index state.
   SpatialGrid grid_;

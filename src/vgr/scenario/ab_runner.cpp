@@ -29,15 +29,6 @@ void apply_fidelity(HighwayConfig& config, const Fidelity& fidelity) {
   config.dcc = config.dcc.with_env_overrides();
   config.run_wall_budget_s = fidelity.run_wall_budget_s;
   config.run_max_events = fidelity.run_max_events;
-  // Intra-run strip parallelism. VGR_STRIPS is a model parameter (output
-  // changes with it, deterministically); VGR_STRIP_THREADS is purely a
-  // performance knob. Absent variables leave the classic serial loop.
-  if (const auto v = sim::env_int("VGR_STRIPS"); v.has_value() && *v >= 0) {
-    config.strips = static_cast<int>(*v);
-  }
-  if (const auto v = sim::env_int("VGR_STRIP_THREADS"); v.has_value() && *v > 0) {
-    config.strip_threads = static_cast<std::size_t>(*v);
-  }
 }
 
 /// The attacker deployed in the B-arm: the configured attack when one is

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "vgr/sim/env.hpp"
-#include "vgr/sim/strip_executor.hpp"
 
 namespace vgr::scenario {
 namespace {
@@ -21,29 +20,6 @@ std::uint64_t decode_packet_id(const net::Bytes& b) {
   std::uint64_t id = 0;
   for (int i = 0; i < 8; ++i) id |= static_cast<std::uint64_t>(b[static_cast<std::size_t>(i)]) << (8 * i);
   return id;
-}
-
-/// Builds the strip plane for a strip-parallel config, nullptr for the
-/// classic serial run. Strip-parallel legality: the stochastic channel
-/// features (faults, interference) couple receivers across strips through
-/// shared RNG draws and cannot be windowed — configs asking for both get
-/// the serial loop (and trip the assert in debug builds).
-std::unique_ptr<sim::StripPlane> make_plane(const HighwayConfig& config) {
-  if (config.strips <= 0) return nullptr;
-  assert(!config.faults.enabled() && !config.interference &&
-         "strips require the deterministic channel (no faults/interference)");
-  if (config.faults.enabled() || config.interference) return nullptr;
-  sim::StripPlane::Config pc;
-  pc.strips = static_cast<std::uint32_t>(config.strips);
-  pc.threads = config.strip_threads;
-  // Safety condition: lookahead <= min cross-strip delivery latency (one
-  // frame airtime + propagation). The 50 us default sits far below the
-  // ~400 us airtime of the smallest secured beacon; the env override exists
-  // for lookahead-sensitivity experiments.
-  if (const auto v = sim::env_double("VGR_LOOKAHEAD_US"); v.has_value() && *v > 0.0) {
-    pc.lookahead = sim::Duration::micros(*v);
-  }
-  return std::make_unique<sim::StripPlane>(pc);
 }
 
 }  // namespace
@@ -167,20 +143,8 @@ HighwayScenario::HighwayScenario(HighwayConfig config)
       // the stream every later fork() consumer sees and silently change all
       // pre-churn results.
       churn_rng_{config.seed ^ 0xC0FF'EE00'5EED'1234ULL},
-      plane_{make_plane(config)},
-      events_{plane_ ? plane_->global() : events_own_},
       road_{config.road_length_m, config.lanes_per_direction, config.two_way} {
-  if (plane_) {
-    // Strip workers verify concurrently against the one shared trust store;
-    // its LRU caches must serialize (verdicts are unaffected, see
-    // TrustStore::set_concurrent).
-    ca_.set_store_concurrent(true);
-  }
   medium_ = std::make_unique<phy::Medium>(events_, config_.tech, master_rng_.fork());
-  if (plane_) {
-    // Index rebuilds are pinned to the serial point between windows.
-    plane_->add_serial_hook([this] { medium_->prepare_index(); });
-  }
   medium_->set_interference(config_.interference);
   medium_->set_spatial_index(config_.spatial_index);
   if (config_.faults.enabled()) {
@@ -204,12 +168,7 @@ HighwayScenario::HighwayScenario(HighwayConfig config)
   traffic_ = std::make_unique<traffic::TrafficSimulation>(road_, tcfg);
   traffic_->set_on_spawn([this](traffic::Vehicle& v) { spawn_station(v); });
   traffic_->set_on_exit([this](traffic::Vehicle& v) { destroy_station(v); });
-  traffic_->set_on_tick([this] {
-    medium_->invalidate_index();
-    // The tick is a global event (serial phase): boundary crossers queue
-    // their migration here and the plane settles it before the next window.
-    if (plane_) rehome_crossed_stations();
-  });
+  traffic_->set_on_tick([this] { medium_->invalidate_index(); });
 }
 
 HighwayScenario::~HighwayScenario() = default;
@@ -242,27 +201,6 @@ gn::RouterConfig HighwayScenario::make_router_config() const {
   return rc;
 }
 
-std::uint32_t HighwayScenario::strip_for_x(double x) const {
-  assert(plane_ != nullptr);
-  const auto k = static_cast<std::int64_t>(config_.strips);
-  const double width = config_.road_length_m / static_cast<double>(k);
-  const auto s = 1 + static_cast<std::int64_t>(std::floor(x / width));
-  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(s, 1, k));
-}
-
-void HighwayScenario::rehome_crossed_stations() {
-  // Queueing a re-home is a disjoint per-handle operation and the plane's
-  // settlement sweeps wheels independently of queueing order, so the map
-  // walk cannot leak iteration order into the run.
-  // vgr-lint: begin ordered-ok (disjoint per-handle re-home queueing commutes)
-  for (auto& [vid, st] : stations_) {
-    if (st.home == nullptr) continue;  // never true today; defensive
-    const std::uint32_t target = strip_for_x(st.mobility->position().x);
-    if (target != st.home->strip()) plane_->rehome(*st.home, target);
-  }
-  // vgr-lint: end
-}
-
 void HighwayScenario::schedule_pseudonym_rotation(traffic::VehicleId id) {
   const auto period = sim::Duration::seconds(config_.pseudonym_period_s);
   const auto jitter =
@@ -288,12 +226,7 @@ void HighwayScenario::install_vehicle_router(traffic::VehicleId vid, Station& st
   // dangerous (see the sequence-number randomization below).
   const net::MacAddress mac{0x0200'0000'0000ULL | vid};
   const net::GnAddress addr{net::GnAddress::StationType::kPassengerCar, mac};
-  // Strip-parallel runs hand the router its station's per-strip handle, so
-  // every timer/buffer event it schedules lands on its own strip's wheel; a
-  // reboot reuses the handle (the plane keeps tracking the vehicle's strip
-  // across the downtime).
-  sim::EventQueue& queue = st.home != nullptr ? *st.home : events_;
-  st.router = std::make_unique<gn::Router>(queue, *medium_, security::Signer{ca_.enroll(addr)},
+  st.router = std::make_unique<gn::Router>(events_, *medium_, security::Signer{ca_.enroll(addr)},
                                            ca_.trust_store(), *st.mobility,
                                            make_router_config(), vehicle_range_m_, rng);
   if (rebooted) {
@@ -309,11 +242,6 @@ void HighwayScenario::install_vehicle_router(traffic::VehicleId vid, Station& st
 
   if (intra_mode_) {
     st.router->set_delivery_handler([this, vid](const gn::Router::Delivery& d) {
-      // Strip workers deliver concurrently; every update below commutes
-      // (set removal keyed by vid, counter, max), so the lock only protects
-      // the containers — interleaving cannot change the result.
-      std::unique_lock<std::mutex> lock{delivery_mutex_, std::defer_lock};
-      if (plane_) lock.lock();
       const std::uint64_t id = decode_packet_id(d.packet().payload);
       const auto it = floods_pending_.find(id);
       if (it == floods_pending_.end()) return;
@@ -323,8 +251,6 @@ void HighwayScenario::install_vehicle_router(traffic::VehicleId vid, Station& st
         remaining.erase(pos);
         auto& record = flood_records_[it->second.record_index];
         ++record.reached;
-        // max, not assignment: serially deliveries arrive in time order so
-        // this is identical, and across strips it is arrival-order-free.
         record.last_reach_at = std::max(record.last_reach_at, d.at);
       }
     });
@@ -334,9 +260,6 @@ void HighwayScenario::install_vehicle_router(traffic::VehicleId vid, Station& st
 void HighwayScenario::spawn_station(traffic::Vehicle& v) {
   Station st;
   st.mobility = std::make_unique<VehicleMobility>(v, road_);
-  // Spawns run inside global events (prefill, entry tick), so handing out a
-  // plane handle here is always a serial-phase operation.
-  if (plane_) st.home = &plane_->make_handle(strip_for_x(st.mobility->position().x));
   const auto [it, inserted] = stations_.emplace(v.id(), std::move(st));
   assert(inserted);
   install_vehicle_router(v.id(), it->second, master_rng_.fork(), /*rebooted=*/false);
@@ -484,21 +407,12 @@ InterAreaResult HighwayScenario::run_inter_area() {
     const net::GnAddress addr{net::GnAddress::StationType::kRoadSideUnit, mac};
     Station st;
     st.mobility = std::make_unique<gn::StaticMobility>(area.center());
-    // A destination sits just past a road end, so it lives in the edge
-    // strip (strip_for_x clamps) — almost all of its traffic is same-strip.
-    if (plane_) st.home = &plane_->make_handle(strip_for_x(area.center().x));
-    sim::EventQueue& queue = st.home != nullptr ? *st.home : events_;
-    st.router = std::make_unique<gn::Router>(queue, *medium_, security::Signer{ca_.enroll(addr)},
+    st.router = std::make_unique<gn::Router>(events_, *medium_, security::Signer{ca_.enroll(addr)},
                                              ca_.trust_store(), *st.mobility,
                                              make_router_config(), vehicle_range_m_,
                                              master_rng_.fork());
     st.router->start();
     st.router->set_delivery_handler([this, dir](const gn::Router::Delivery& d) {
-      // The two destinations live on different strips, so their handlers
-      // can race on the shared records; the updates commute (first receipt
-      // per id wins and duplicates are filtered by the id lookup).
-      std::unique_lock<std::mutex> lock{delivery_mutex_, std::defer_lock};
-      if (plane_) lock.lock();
       const std::uint64_t id = decode_packet_id(d.packet().payload);
       const auto it = inter_pending_.find(id);
       if (it == inter_pending_.end()) return;

@@ -31,11 +31,6 @@ class VehicleMobility final : public gn::MobilityProvider {
 /// (StaticMobility).
 struct Station {
   std::unique_ptr<gn::MobilityProvider> mobility;
-  /// Strip-plane scheduling handle (non-owning; the plane owns it and it
-  /// survives crash/reboot cycles) when the scenario runs strip-parallel.
-  /// nullptr in classic serial runs — the router then uses the scenario's
-  /// own event queue directly.
-  sim::EventQueue* home{nullptr};
   std::unique_ptr<gn::Router> router;
 };
 

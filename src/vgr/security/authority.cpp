@@ -26,12 +26,6 @@ bool TrustStore::certificate_valid_uncached(const Certificate& cert) const {
 }
 
 bool TrustStore::certificate_valid(const Certificate& cert) const {
-  std::unique_lock<std::mutex> lock{cache_mutex_, std::defer_lock};
-  if (concurrent_) lock.lock();
-  return certificate_valid_impl_(cert);
-}
-
-bool TrustStore::certificate_valid_impl_(const Certificate& cert) const {
   const auto it = cert_cache_.find(cert.serial);
   if (it != cert_cache_.end() && it->second.generation == generation_ &&
       it->second.cert == cert) {
@@ -62,14 +56,7 @@ bool TrustStore::certificate_valid_impl_(const Certificate& cert) const {
 
 bool TrustStore::verify(const Certificate& cert, const net::Bytes& message,
                         std::uint64_t signature) const {
-  std::unique_lock<std::mutex> lock{cache_mutex_, std::defer_lock};
-  if (concurrent_) lock.lock();
-  return verify_impl_(cert, message, signature);
-}
-
-bool TrustStore::verify_impl_(const Certificate& cert, const net::Bytes& message,
-                              std::uint64_t signature) const {
-  if (!certificate_valid_impl_(cert)) return false;
+  if (!certificate_valid(cert)) return false;
   const auto it = entries_.find(cert.serial);
   return signature == keyed_digest(it->second.key, message);
 }
@@ -77,8 +64,6 @@ bool TrustStore::verify_impl_(const Certificate& cert, const net::Bytes& message
 VerifyResult TrustStore::verify_message(const Certificate& cert,
                                         const SignedPortionPtr& portion,
                                         std::uint64_t signature) const {
-  std::unique_lock<std::mutex> lock{cache_mutex_, std::defer_lock};
-  if (concurrent_) lock.lock();
   const std::uint64_t key = portion->digest;
   const auto it = memo_.find(key);
   if (it != memo_.end()) {
@@ -95,7 +80,7 @@ VerifyResult TrustStore::verify_message(const Certificate& cert,
     }
   }
   ++stats_.memo_misses;
-  const bool ok = verify_impl_(cert, portion->bytes, signature);
+  const bool ok = verify(cert, portion->bytes, signature);
   if (it != memo_.end()) {
     it->second =
         MemoEntry{portion, cert, signature, generation_, ok, it->second.lru_it};

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,7 +44,9 @@ std::optional<double> env_double(const char* name) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(value, &end);
-  if (end == value || errno == ERANGE || !only_whitespace(end)) {
+  // strtod also accepts "inf"/"nan"; no knob means either, and a non-finite
+  // value would reach float-to-integer conversions downstream.
+  if (end == value || errno == ERANGE || !only_whitespace(end) || !std::isfinite(v)) {
     warn(name, value);
     return std::nullopt;
   }

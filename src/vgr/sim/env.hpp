@@ -16,6 +16,7 @@ namespace vgr::sim {
 std::optional<long long> env_int(const char* name);
 
 /// Parses `name` as a whole-token double, same contract as env_int.
+/// Non-finite values ("inf", "nan", ...) count as malformed.
 std::optional<double> env_double(const char* name);
 
 }  // namespace vgr::sim

@@ -190,6 +190,55 @@ TEST(EventQueue, ManyEventsStressOrdering) {
 
 // --- Per-run watchdog (the parallel harness's circuit breaker) ------------
 
+TEST(EventQueue, CancelCohortRetiresOnlyItsMembers) {
+  EventQueue q;
+  const CohortId cohort = q.make_cohort();
+  int members_fired = 0;
+  bool outsider_fired = false;
+  std::vector<EventId> members;
+  for (int i = 0; i < 3; ++i) {
+    members.push_back(q.schedule_at(TimePoint::at(Duration::millis(10 + i)), cohort,
+                                    [&members_fired] { ++members_fired; }));
+  }
+  // A non-member scheduled between the members, at a time inside their span.
+  const EventId outsider = q.schedule_at(TimePoint::at(Duration::millis(11)),
+                                         [&outsider_fired] { outsider_fired = true; });
+  for (int i = 3; i < 5; ++i) {
+    members.push_back(q.schedule_at(TimePoint::at(Duration::millis(10 + i)), cohort,
+                                    [&members_fired] { ++members_fired; }));
+  }
+  // Cancelling one member first: the cohort only counts its live members.
+  EXPECT_TRUE(q.cancel(members.back()));
+  EXPECT_EQ(q.pending_count(), 5u);
+
+  EXPECT_EQ(q.cancel_cohort(cohort), 4u);
+  EXPECT_EQ(q.pending_count(), 1u);
+  for (const EventId id : members) {
+    EXPECT_FALSE(q.pending(id));
+    EXPECT_FALSE(q.cancel(id));  // already retired by the cohort
+  }
+  EXPECT_TRUE(q.pending(outsider));
+
+  q.run_until(TimePoint::at(Duration::millis(20)));
+  EXPECT_EQ(members_fired, 0);
+  EXPECT_TRUE(outsider_fired);
+  EXPECT_EQ(q.pending_count(), 0u);
+
+  // The cohort stays usable after retirement.
+  const EventId fresh =
+      q.schedule_in(Duration::millis(1), cohort, [&members_fired] { ++members_fired; });
+  EXPECT_TRUE(q.pending(fresh));
+  q.run_until(TimePoint::at(Duration::millis(30)));
+  EXPECT_EQ(members_fired, 1);
+
+  // The default cohort is never retired (debug builds assert on the call).
+#ifdef NDEBUG
+  q.schedule_in(Duration::millis(1), [] {});
+  EXPECT_EQ(q.cancel_cohort(CohortId{}), 0u);
+  EXPECT_EQ(q.pending_count(), 1u);
+#endif
+}
+
 TEST(EventQueue, RunBudgetStopsAfterExactEventCount) {
   EventQueue q;
   int fired = 0;

@@ -76,6 +76,11 @@ TEST(EnvParsing, WholeTokenValidation) {
   EXPECT_EQ(env_double("VGR_TEST_DBL"), 2.5);
   ::setenv("VGR_TEST_DBL", "2.5s", 1);
   EXPECT_FALSE(env_double("VGR_TEST_DBL").has_value());
+  // strtod parses these whole, but no knob accepts a non-finite value.
+  for (const char* non_finite : {"inf", "-inf", "nan", "infinity"}) {
+    ::setenv("VGR_TEST_DBL", non_finite, 1);
+    EXPECT_FALSE(env_double("VGR_TEST_DBL").has_value()) << non_finite;
+  }
   ::unsetenv("VGR_TEST_DBL");
 }
 
