@@ -34,7 +34,7 @@ double inter_attacked_reception(HighwayConfig cfg, const Fidelity& fidelity) {
 }  // namespace
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(2);
+  const Fidelity fidelity = sweep::knobs_from_env(2).fidelity;
   bench::banner("Ablations", "design-choice studies beyond the paper's figures", fidelity);
   const phy::RangeTable ranges = phy::range_table(phy::AccessTechnology::kDsrc);
 

@@ -14,7 +14,7 @@ using scenario::Fidelity;
 using scenario::HighwayConfig;
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(3);
+  const Fidelity fidelity = sweep::knobs_from_env(3).fidelity;
   bench::banner("Figure 10", "accumulated intra-area blockage rate over time (DSRC)",
                 fidelity);
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "vgr/scenario/hazard.hpp"
+#include "vgr/sweep/knobs.hpp"
 
 using namespace vgr;
 using scenario::HazardConfig;
@@ -15,15 +16,7 @@ using scenario::HazardScenario;
 
 namespace {
 
-double env_seconds(double fallback) {
-  if (const char* env = std::getenv("VGR_SIM_SECONDS")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
-
-void run_case(HazardConfig::Case mode, const char* title) {
+void run_case(double sim_seconds, HazardConfig::Case mode, const char* title) {
   HazardConfig cfg;
   cfg.mode = mode;
   // Case 1 needs a longer horizon in this substrate: the GF notification
@@ -32,7 +25,7 @@ void run_case(HazardConfig::Case mode, const char* title) {
   // entries (see EXPERIMENTS.md; the paper observed ~60 s, we observe
   // ~150-190 s).
   const double default_secs = mode == HazardConfig::Case::kGreedyForwarding ? 300.0 : 200.0;
-  cfg.sim_duration = sim::Duration::seconds(env_seconds(default_secs));
+  cfg.sim_duration = sim::Duration::seconds(sim_seconds > 0.0 ? sim_seconds : default_secs);
 
   cfg.attacked = false;
   const HazardResult af = HazardScenario{cfg}.run();
@@ -61,13 +54,14 @@ void run_case(HazardConfig::Case mode, const char* title) {
 }  // namespace
 
 int main() {
+  const double sim_seconds = sweep::knobs_from_env().fidelity.sim_seconds;
   std::printf("==========================================================================\n");
   std::printf("Figure 12 — traffic-efficiency impact of both attacks (hazard @3,600 m)\n");
   std::printf("==========================================================================\n");
 
-  run_case(HazardConfig::Case::kGreedyForwarding,
+  run_case(sim_seconds, HazardConfig::Case::kGreedyForwarding,
            "Fig 12a — case 1: GF notification vs inter-area interception (mN attacker)");
-  run_case(HazardConfig::Case::kCbfFlood,
+  run_case(sim_seconds, HazardConfig::Case::kCbfFlood,
            "Fig 12b — case 2: CBF notification vs intra-area blockage (500 m attacker)");
 
   std::printf("\npaper reference: af curves plateau once the entrance learns of the hazard\n"

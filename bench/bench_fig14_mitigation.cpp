@@ -51,7 +51,7 @@ double intra_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, boo
 }  // namespace
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(3);
+  const Fidelity fidelity = sweep::knobs_from_env(3).fidelity;
   bench::banner("Figure 14", "mitigation effectiveness (DSRC)", fidelity);
 
   const phy::RangeTable ranges = phy::range_table(phy::AccessTechnology::kDsrc);

@@ -21,14 +21,9 @@ namespace {
 /// Every sweep point goes through the crash-resilient sweep supervisor
 /// (VGR_SWEEP=1 journals and resumes; the default disabled supervisor is
 /// exactly run_inter_area_ab, so historical output stays byte-identical).
-sweep::Supervisor& supervisor() {
-  static sweep::Supervisor sup{sweep::SupervisorConfig::from_env()};
-  return sup;
-}
-
-AbResult run_supervised(const std::string& label, const HighwayConfig& cfg,
-                        const Fidelity& fidelity) {
-  return sweep::run_ab_supervised(supervisor(), sweep::Experiment::kInterArea, label, cfg,
+AbResult run_supervised(sweep::Supervisor& supervisor, const std::string& label,
+                        const HighwayConfig& cfg, const Fidelity& fidelity) {
+  return sweep::run_ab_supervised(supervisor, sweep::Experiment::kInterArea, label, cfg,
                                   fidelity)
       .result;
 }
@@ -39,7 +34,8 @@ struct RangeSetting {
   double range_m;
 };
 
-void subfigure_ab(phy::AccessTechnology tech, const char* name, const Fidelity& fidelity) {
+void subfigure_ab(sweep::Supervisor& supervisor, phy::AccessTechnology tech, const char* name,
+                  const sweep::KnobSpec& knobs) {
   const phy::RangeTable ranges = phy::range_table(tech);
   const RangeSetting settings[] = {
       {"mL (median LoS)", "mL", ranges.los_median_m},
@@ -52,21 +48,24 @@ void subfigure_ab(phy::AccessTechnology tech, const char* name, const Fidelity& 
     HighwayConfig cfg;
     cfg.tech = tech;
     cfg.attack_range_m = s.range_m;
-    const AbResult r = run_supervised(std::string{"fig7"} + name + "-" + s.key, cfg, fidelity);
+    const AbResult r = run_supervised(supervisor, std::string{"fig7"} + name + "-" + s.key, cfg,
+                                      knobs.fidelity);
     bench::print_summary_row(s.label, r, "gamma");
-    bench::maybe_export(std::string{"fig7"} + name + "_" + s.key, r);
-    if (bench::verbose()) bench::print_ab_series(r);
+    bench::maybe_export(knobs.csv_dir, std::string{"fig7"} + name + "_" + s.key, r);
+    if (knobs.series) bench::print_ab_series(r);
   }
 }
 
 }  // namespace
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(3);
+  const sweep::KnobSpec knobs = sweep::knobs_from_env(3);
+  const Fidelity& fidelity = knobs.fidelity;
+  sweep::Supervisor supervisor{knobs.supervisor};
   bench::banner("Figure 7", "inter-area interception attack effectiveness", fidelity);
 
-  subfigure_ab(phy::AccessTechnology::kDsrc, "a", fidelity);
-  subfigure_ab(phy::AccessTechnology::kCv2x, "b", fidelity);
+  subfigure_ab(supervisor, phy::AccessTechnology::kDsrc, "a", knobs);
+  subfigure_ab(supervisor, phy::AccessTechnology::kCv2x, "b", knobs);
 
   // (c) LocTE TTL sweep: DSRC, worst-NLoS attacker, plus the paper's
   // "mN @ TTL 5 s" check that a short TTL does not save the victim from a
@@ -77,15 +76,15 @@ int main() {
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_worst_m;
     cfg.locte_ttl = sim::Duration::seconds(ttl);
     const AbResult r = run_supervised(
-        "fig7c-ttl" + std::to_string(static_cast<int>(ttl)), cfg, fidelity);
+        supervisor, "fig7c-ttl" + std::to_string(static_cast<int>(ttl)), cfg, fidelity);
     bench::print_summary_row("TTL " + std::to_string(static_cast<int>(ttl)) + " s", r, "gamma");
-    if (bench::verbose()) bench::print_ab_series(r);
+    if (knobs.series) bench::print_ab_series(r);
   }
   {
     HighwayConfig cfg;
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_median_m;
     cfg.locte_ttl = sim::Duration::seconds(5.0);
-    const AbResult r = run_supervised("fig7c-ttl5-mN", cfg, fidelity);
+    const AbResult r = run_supervised(supervisor, "fig7c-ttl5-mN", cfg, fidelity);
     bench::print_summary_row("TTL 5 s, mN attacker", r, "gamma");
   }
 
@@ -97,7 +96,7 @@ int main() {
     cfg.entry_spacing_m = spacing;
     cfg.prefill_spacing_m = spacing;
     const AbResult r = run_supervised(
-        "fig7d-space" + std::to_string(static_cast<int>(spacing)), cfg, fidelity);
+        supervisor, "fig7d-space" + std::to_string(static_cast<int>(spacing)), cfg, fidelity);
     bench::print_summary_row("i = " + std::to_string(static_cast<int>(spacing)) + " m", r,
                              "gamma");
   }
@@ -108,7 +107,8 @@ int main() {
     HighwayConfig cfg;
     cfg.attack_range_m = phy::range_table(cfg.tech).nlos_worst_m;
     cfg.two_way = two_way;
-    const AbResult r = run_supervised(two_way ? "fig7e-two-way" : "fig7e-one-way", cfg, fidelity);
+    const AbResult r = run_supervised(supervisor, two_way ? "fig7e-two-way" : "fig7e-one-way", cfg,
+                                      fidelity);
     bench::print_summary_row(two_way ? "two directions" : "single direction", r, "gamma");
   }
 

@@ -16,7 +16,7 @@ using scenario::HighwayConfig;
 
 namespace {
 
-void range_sweep(phy::AccessTechnology tech, const char* name, const Fidelity& fidelity) {
+void range_sweep(phy::AccessTechnology tech, const char* name, const sweep::KnobSpec& knobs) {
   const phy::RangeTable ranges = phy::range_table(tech);
   struct Setting {
     const char* label;
@@ -33,21 +33,22 @@ void range_sweep(phy::AccessTechnology tech, const char* name, const Fidelity& f
     HighwayConfig cfg;
     cfg.tech = tech;
     cfg.attack_range_m = s.range_m;
-    const AbResult r = run_intra_area_ab(cfg, fidelity);
+    const AbResult r = run_intra_area_ab(cfg, knobs.fidelity);
     bench::print_summary_row(s.label, r, "lambda");
-    bench::maybe_export(std::string{"fig9"} + name + "_" + s.key, r);
-    if (bench::verbose()) bench::print_ab_series(r);
+    bench::maybe_export(knobs.csv_dir, std::string{"fig9"} + name + "_" + s.key, r);
+    if (knobs.series) bench::print_ab_series(r);
   }
 }
 
 }  // namespace
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(3);
+  const sweep::KnobSpec knobs = sweep::knobs_from_env(3);
+  const Fidelity& fidelity = knobs.fidelity;
   bench::banner("Figure 9", "intra-area blockage attack effectiveness", fidelity);
 
-  range_sweep(phy::AccessTechnology::kDsrc, "a", fidelity);
-  range_sweep(phy::AccessTechnology::kCv2x, "b", fidelity);
+  range_sweep(phy::AccessTechnology::kDsrc, "a", knobs);
+  range_sweep(phy::AccessTechnology::kCv2x, "b", knobs);
 
   std::printf("\nFig 9c — DSRC, mN attacker, LocTE TTL sweep (CBF should not care)\n");
   for (const double ttl : {20.0, 10.0, 5.0}) {

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "vgr/security/authority.hpp"
 #include "vgr/sim/event_queue.hpp"
 #include "vgr/sim/random.hpp"
+#include "vgr/sweep/knobs.hpp"
 
 namespace {
 
@@ -476,8 +476,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   TrajectoryReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  const char* out = std::getenv("VGR_BENCH_JSON");
-  const std::string path = out != nullptr ? out : "BENCH_micro.json";
+  const std::string bench_json = sweep::knobs_from_env().bench_json;
+  const std::string path = bench_json.empty() ? "BENCH_micro.json" : bench_json;
   const bool ok = reporter.write_json(path);
   benchmark::Shutdown();
   return ok ? 0 : 1;

@@ -14,7 +14,7 @@ using scenario::Fidelity;
 using scenario::HighwayConfig;
 
 int main() {
-  const Fidelity fidelity = Fidelity::from_env(2);
+  const Fidelity fidelity = sweep::knobs_from_env(2).fidelity;
   bench::banner("Position sweep", "attacker placement along the segment (DSRC, mN range)",
                 fidelity);
 

@@ -33,7 +33,6 @@
 // the default — the output is byte-identical to the historical monolithic
 // bench.
 
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.hpp"
@@ -41,17 +40,16 @@
 
 int main() {
   using namespace vgr;
-  const scenario::Fidelity fidelity = scenario::Fidelity::from_env(/*default_runs=*/4);
+  const sweep::KnobSpec knobs = sweep::knobs_from_env(/*default_runs=*/4);
   vgr::bench::banner("bench_resilience",
-                     "attack + mitigation under channel faults and node churn", fidelity,
+                     "attack + mitigation under channel faults and node churn", knobs.fidelity,
                      /*default_sim_seconds=*/20.0);
-  scenario::Fidelity f = fidelity;
+  scenario::Fidelity f = knobs.fidelity;
   if (f.sim_seconds <= 0.0) f.sim_seconds = 20.0;
 
-  sweep::Supervisor supervisor{sweep::SupervisorConfig::from_env()};
+  sweep::Supervisor supervisor{knobs.supervisor};
   if (!supervisor.ok()) return 1;
 
-  const char* out = std::getenv("VGR_BENCH_JSON");
-  const std::string path = out != nullptr ? out : "BENCH_resilience.json";
+  const std::string path = knobs.bench_json.empty() ? "BENCH_resilience.json" : knobs.bench_json;
   return sweep::run_resilience_sweep(supervisor, f, sweep::ResilienceSelection{}, path);
 }

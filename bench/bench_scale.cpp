@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
@@ -58,7 +57,8 @@ struct HarnessRow {
 }  // namespace
 
 int main() {
-  const scenario::Fidelity fidelity = scenario::Fidelity::from_env(/*default_runs=*/8);
+  const sweep::KnobSpec knobs = sweep::knobs_from_env(/*default_runs=*/8);
+  const scenario::Fidelity& fidelity = knobs.fidelity;
   const double sweep_seconds = fidelity.sim_seconds > 0.0 ? fidelity.sim_seconds : 10.0;
 
   vgr::bench::banner("bench_scale", "spatial-index crossover + parallel harness speedup",
@@ -146,8 +146,7 @@ int main() {
               harness.front().wall_s / std::max(best->wall_s, 1e-9), best->threads);
 
   // --- JSON trajectory ----------------------------------------------------
-  const char* out = std::getenv("VGR_BENCH_JSON");
-  const std::string path = out != nullptr ? out : "BENCH_scale.json";
+  const std::string path = knobs.bench_json.empty() ? "BENCH_scale.json" : knobs.bench_json;
   std::FILE* fjson = std::fopen(path.c_str(), "w");
   if (fjson == nullptr) {
     std::fprintf(stderr, "bench_scale: cannot write %s\n", path.c_str());

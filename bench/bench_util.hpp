@@ -5,12 +5,12 @@
 // fidelity in use, and (3) rows/series shaped like the paper's plots.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "vgr/scenario/ab_runner.hpp"
 #include "vgr/scenario/csv.hpp"
 #include "vgr/sim/thread_pool.hpp"
+#include "vgr/sweep/knobs.hpp"
 
 namespace vgr::bench {
 
@@ -21,7 +21,7 @@ inline void banner(const char* artifact, const char* description,
   const double secs =
       fidelity.sim_seconds > 0.0 ? fidelity.sim_seconds : default_sim_seconds;
   const std::size_t threads =
-      fidelity.threads > 0 ? fidelity.threads : sim::ThreadPool::default_thread_count();
+      fidelity.threads > 0 ? fidelity.threads : sim::ThreadPool::hardware_threads();
   std::printf("fidelity: %llu run(s) x %.0f simulated seconds per arm, %zu thread(s) "
               "(override: VGR_RUNS / VGR_SIM_SECONDS / VGR_THREADS; paper: 100 x 200)\n",
               static_cast<unsigned long long>(fidelity.runs), secs, threads);
@@ -47,14 +47,12 @@ inline void print_summary_row(const std::string& setting, const scenario::AbResu
               r.baseline_reception, r.attacked_reception, rate_symbol, r.attack_rate * 100.0);
 }
 
-inline bool verbose() { return std::getenv("VGR_SERIES") != nullptr; }
-
-/// Writes the A/B reception timelines to `$VGR_CSV_DIR/<name>.csv` when CSV
-/// export is enabled (no-op otherwise).
-inline void maybe_export(const std::string& name, const scenario::AbResult& r) {
-  const std::string dir = scenario::CsvWriter::env_dir();
-  if (dir.empty()) return;
-  scenario::CsvWriter::write_timelines(dir, name, {"attacker_free", "attacked"},
+/// Writes the A/B reception timelines to `<csv_dir>/<name>.csv` when CSV
+/// export is enabled (VGR_CSV_DIR set; no-op otherwise).
+inline void maybe_export(const std::string& csv_dir, const std::string& name,
+                         const scenario::AbResult& r) {
+  if (csv_dir.empty()) return;
+  scenario::CsvWriter::write_timelines(csv_dir, name, {"attacker_free", "attacked"},
                                        {&r.baseline, &r.attacked});
 }
 

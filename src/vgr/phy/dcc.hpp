@@ -39,11 +39,6 @@ struct DccConfig {
   std::array<sim::Duration, 5> toff{
       sim::Duration::millis(60), sim::Duration::millis(100), sim::Duration::millis(180),
       sim::Duration::millis(260), sim::Duration::millis(460)};
-
-  /// Reads the VGR_DCC_* environment knobs over the programmatic values:
-  ///   VGR_DCC (0/1), VGR_DCC_SAMPLE_MS, VGR_DCC_WINDOW.
-  /// Parsing is whole-token like every other VGR_* variable.
-  [[nodiscard]] DccConfig with_env_overrides() const;
 };
 
 /// Per-node reactive DCC state machine. Pure and deterministic: it consumes

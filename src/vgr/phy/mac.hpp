@@ -54,12 +54,6 @@ struct MacConfig {
   /// Medium::set_airtime_overhead_bytes), so MAC-off runs keep the
   /// historical GN-only airtime bit-for-bit.
   std::size_t airtime_overhead_bytes{38};
-
-  /// Reads the VGR_MAC_* environment knobs over the programmatic values:
-  ///   VGR_MAC (0/1), VGR_MAC_QUEUE, VGR_MAC_SLOT_US, VGR_MAC_AIFS_US,
-  ///   VGR_MAC_CW_MIN, VGR_MAC_CW_MAX, VGR_MAC_RETRY,
-  ///   VGR_MAC_DCC_RETRY_SCALE, VGR_MAC_OVERHEAD_BYTES.
-  [[nodiscard]] MacConfig with_env_overrides() const;
 };
 
 /// Per-cause MAC counters (all drops are mutually exclusive per frame).

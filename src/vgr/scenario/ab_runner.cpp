@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "vgr/sim/env.hpp"
 #include "vgr/sim/thread_pool.hpp"
 
 namespace vgr::scenario {
@@ -17,16 +16,11 @@ void apply_fidelity(HighwayConfig& config, const Fidelity& fidelity) {
   if (fidelity.sim_seconds > 0.0) {
     config.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
   }
-  // Resilience knobs (VGR_FAULT_*, VGR_CHURN_*, VGR_SCF*, VGR_RETX*,
-  // VGR_NBR_MONITOR) apply to every run of every experiment binary, so any
-  // existing sweep can be re-run under channel faults, node churn, or with
-  // the recovery layer enabled without a rebuild. Absent variables leave the
-  // programmatic config untouched and the runs bit-identical.
-  config.faults = config.faults.with_env_overrides();
-  config.churn = config.churn.with_env_overrides();
-  config.recovery = config.recovery.with_env_overrides();
-  config.mac = config.mac.with_env_overrides();
-  config.dcc = config.dcc.with_env_overrides();
+  // Knob-set resilience, MAC and DCC fields apply to every run of every
+  // experiment binary, so any existing sweep can be re-run under channel
+  // faults, node churn, the recovery layer or a contended channel without a
+  // rebuild. No overrides leave the programmatic config untouched.
+  fidelity.overrides.apply(config);
   config.run_wall_budget_s = fidelity.run_wall_budget_s;
   config.run_max_events = fidelity.run_max_events;
 }
@@ -48,16 +42,19 @@ void count_timeouts(AbResult& out, const Result& baseline, const Result& attacke
   }
 }
 
+/// One run's counters as arm totals, for AbResult::ArmTotals::merge.
 template <typename Result>
-void accumulate_totals(AbResult::ArmTotals& totals, const Result& r) {
-  totals.mac_queue_overflow += r.mac.queue_overflow_drops;
-  totals.mac_retry_exhausted += r.mac.retry_exhausted_drops;
-  totals.mac_dcc_gated += r.mac.dcc_gated_drops;
-  totals.mac_backoff_retries += r.mac.backoff_retries;
-  totals.mac_transmitted += r.mac.transmitted;
-  totals.ingest_drops += r.ingest_drops;
-  totals.frames_flooded += r.frames_flooded;
-  totals.peak_cbr = std::max(totals.peak_cbr, r.peak_cbr);
+AbResult::ArmTotals run_totals(const Result& r) {
+  AbResult::ArmTotals t;
+  t.mac_queue_overflow = r.mac.queue_overflow_drops;
+  t.mac_retry_exhausted = r.mac.retry_exhausted_drops;
+  t.mac_dcc_gated = r.mac.dcc_gated_drops;
+  t.mac_backoff_retries = r.mac.backoff_retries;
+  t.mac_transmitted = r.mac.transmitted;
+  t.ingest_drops = r.ingest_drops;
+  t.frames_flooded = r.frames_flooded;
+  t.peak_cbr = r.peak_cbr;
+  return t;
 }
 
 /// Dispatches `fidelity.runs` independent runs across a thread pool and
@@ -77,27 +74,6 @@ void for_each_run_in_order(const Fidelity& fidelity, RunFn run_fn, MergeFn merge
 }
 
 }  // namespace
-
-Fidelity Fidelity::from_env(std::uint64_t default_runs) {
-  Fidelity f;
-  f.runs = default_runs;
-  if (const auto v = sim::env_int("VGR_RUNS"); v.has_value() && *v > 0) {
-    f.runs = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_SIM_SECONDS"); v.has_value() && *v > 0.0) {
-    f.sim_seconds = *v;
-  }
-  if (const auto v = sim::env_int("VGR_THREADS"); v.has_value() && *v > 0) {
-    f.threads = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = sim::env_double("VGR_RUN_TIMEOUT_S"); v.has_value() && *v > 0.0) {
-    f.run_wall_budget_s = *v;
-  }
-  if (const auto v = sim::env_int("VGR_RUN_MAX_EVENTS"); v.has_value() && *v > 0) {
-    f.run_max_events = static_cast<std::uint64_t>(*v);
-  }
-  return f;
-}
 
 AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity) {
   apply_fidelity(config, fidelity);
@@ -124,8 +100,8 @@ AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity) {
       [&](const RunResult& r) {
         out.baseline.merge(r.baseline.binned(kBin));
         out.attacked.merge(r.attacked.binned(kBin));
-        accumulate_totals(out.baseline_totals, r.baseline);
-        accumulate_totals(out.attacked_totals, r.attacked);
+        out.baseline_totals.merge(run_totals(r.baseline));
+        out.attacked_totals.merge(run_totals(r.attacked));
         count_timeouts(out, r.baseline, r.attacked);
         // vgr-lint: begin float-accum-ok (merge runs in strict seed order, so
         // the summation order below is fixed for any VGR_THREADS)
@@ -173,8 +149,8 @@ AbResult run_intra_area_ab(HighwayConfig config, const Fidelity& fidelity) {
       [&](const RunResult& r) {
         out.baseline.merge(r.baseline.binned(kBin));
         out.attacked.merge(r.attacked.binned(kBin));
-        accumulate_totals(out.baseline_totals, r.baseline);
-        accumulate_totals(out.attacked_totals, r.attacked);
+        out.baseline_totals.merge(run_totals(r.baseline));
+        out.attacked_totals.merge(run_totals(r.attacked));
         count_timeouts(out, r.baseline, r.attacked);
       });
 

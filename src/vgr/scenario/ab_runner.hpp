@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "vgr/scenario/highway.hpp"
 
@@ -25,6 +27,31 @@ struct AbResult {
     std::uint64_t ingest_drops{0};
     std::uint64_t frames_flooded{0};
     double peak_cbr{0.0};  ///< max over runs of the per-run peak CBR
+
+    enum class Merge { kSum, kMax };
+    /// The counter list: calls `fn(json_name, member_pointer, merge)` once
+    /// per field, in journal key order. Run merges, shard merges and the
+    /// journal codec (vgr/sweep/ab_codec) all walk it, so a new counter is
+    /// one line here.
+    template <typename Fn>
+    static void for_each_counter(Fn&& fn) {
+      fn("mac_queue_overflow", &ArmTotals::mac_queue_overflow, Merge::kSum);
+      fn("mac_retry_exhausted", &ArmTotals::mac_retry_exhausted, Merge::kSum);
+      fn("mac_dcc_gated", &ArmTotals::mac_dcc_gated, Merge::kSum);
+      fn("mac_backoff_retries", &ArmTotals::mac_backoff_retries, Merge::kSum);
+      fn("mac_transmitted", &ArmTotals::mac_transmitted, Merge::kSum);
+      fn("ingest_drops", &ArmTotals::ingest_drops, Merge::kSum);
+      fn("frames_flooded", &ArmTotals::frames_flooded, Merge::kSum);
+      fn("peak_cbr", &ArmTotals::peak_cbr, Merge::kMax);
+    }
+
+    /// Folds `other` into these totals, field by field per its merge rule.
+    void merge(const ArmTotals& other) {
+      for_each_counter([&](const char*, auto member, Merge how) {
+        this->*member = how == Merge::kSum ? this->*member + other.*member
+                                           : std::max(this->*member, other.*member);
+      });
+    }
   };
 
   sim::BinnedRate baseline;
@@ -57,38 +84,54 @@ struct AbResult {
   std::uint64_t timed_out_wall{0};
 };
 
-/// Experiment fidelity, environment-overridable so the same benches run in
-/// minutes on a laptop or at full paper fidelity (100 runs x 200 s):
-///   VGR_RUNS         — runs per setting (default `default_runs`)
-///   VGR_SIM_SECONDS  — simulated seconds per run (default from config)
-///   VGR_THREADS      — worker threads for run-level parallelism
-///                      (default: all hardware threads; 1 = serial)
-///   VGR_RUN_TIMEOUT_S   — per-run wall-clock watchdog, seconds (0 = off)
-///   VGR_RUN_MAX_EVENTS  — per-run event-count circuit breaker (0 = off)
-/// The resilience knobs (`VGR_FAULT_*`, `VGR_CHURN_*`, `VGR_SCF*`,
-/// `VGR_RETX*`, `VGR_NBR_MONITOR`, `VGR_MAC_*`, `VGR_DCC_*`; see
-/// docs/robustness.md) are likewise applied to every run's config, so any
-/// experiment can be replayed under channel faults, node churn, with the
-/// recovery layer enabled, or on a contended CSMA/CA + DCC channel.
-/// Malformed values are rejected whole-token with a stderr warning rather
-/// than silently parsed as a prefix or as 0.
+/// Per-run config fields set by runtime knobs, as plain data: `values`
+/// holds them and `fields` lists the members that hold one. The harness
+/// copies exactly those members over every run's config after the caller's
+/// own settings, so a set knob wins over a sweep's programmatic arm value,
+/// and an empty list leaves every run untouched.
+struct ConfigOverrides {
+  HighwayConfig values{};
+  std::vector<void (*)(HighwayConfig& to, const HighwayConfig& from)> fields;
+
+  /// Marks the member reached by the member-pointer chain `Path` (e.g.
+  /// `&HighwayConfig::faults, &phy::FaultConfig::drop_probability`) as set
+  /// and returns it in `values` for the caller to fill.
+  template <auto... Path>
+  auto& set() {
+    fields.push_back([](HighwayConfig& to, const HighwayConfig& from) {
+      (to .* ... .* Path) = (from .* ... .* Path);
+    });
+    return (values .* ... .* Path);
+  }
+
+  void apply(HighwayConfig& config) const {
+    for (const auto copy : fields) copy(config, values);
+  }
+};
+
+/// Experiment fidelity, so the same benches run in minutes on a laptop or
+/// at full paper fidelity (100 runs x 200 s). Entrypoints fill it from the
+/// knob table (vgr/sweep/knobs.cpp: `VGR_RUNS`, `VGR_SIM_SECONDS`,
+/// `VGR_THREADS`, `VGR_RUN_TIMEOUT_S`, `VGR_RUN_MAX_EVENTS`, and the
+/// per-run resilience, MAC and DCC rows that land in `overrides`); library
+/// code reads only these fields, never the environment.
 struct Fidelity {
   std::uint64_t runs{3};
   /// Seed-range offset for sweep shards (vgr/sweep): the runs executed are
   /// seeded `first_run+1 .. first_run+runs`, so a sweep point can be cut
   /// into seed-range shards whose merged result equals the monolithic run.
-  /// 0 (the default, not env-overridable) keeps historical behaviour.
+  /// 0 (the default, not a knob) keeps historical behaviour.
   std::uint64_t first_run{0};
   double sim_seconds{-1.0};  ///< <= 0 keeps the config's duration
-  /// Worker threads for independent runs; 0 = auto (VGR_THREADS or all
-  /// hardware threads). Results are bit-identical for every value because
-  /// runs are merged in seed order (see ab_runner.cpp).
+  /// Worker threads for independent runs; 0 = all hardware threads.
+  /// Results are bit-identical for every value because runs are merged in
+  /// seed order (see ab_runner.cpp).
   std::size_t threads{0};
   /// Per-run watchdog (see HighwayConfig): 0 disables either bound.
   double run_wall_budget_s{0.0};
   std::uint64_t run_max_events{0};
-
-  static Fidelity from_env(std::uint64_t default_runs = 3);
+  /// Applied over every run's config (faults, churn, recovery, MAC, DCC).
+  ConfigOverrides overrides{};
 };
 
 /// Runs `runs` paired (attacker-free, attacked) inter-area experiments with

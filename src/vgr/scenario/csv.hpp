@@ -30,9 +30,6 @@ class CsvWriter {
                               const std::vector<std::string>& labels,
                               const std::vector<const sim::BinnedRate*>& series);
 
-  /// Directory from VGR_CSV_DIR, or empty when export is disabled.
-  static std::string env_dir();
-
  private:
   std::FILE* file_{nullptr};
 };

@@ -43,9 +43,6 @@ struct ChurnConfig {
   double reboot_probability{1.0};
 
   [[nodiscard]] bool enabled() const { return crash_rate_hz > 0.0; }
-  /// Copy with `VGR_CHURN_RATE`, `VGR_CHURN_DOWNTIME_MS` and
-  /// `VGR_CHURN_REBOOT_P` applied over the programmatic values.
-  [[nodiscard]] ChurnConfig with_env_overrides() const;
 };
 
 /// Recovery-layer switches applied to every vehicle router
@@ -63,10 +60,6 @@ struct RecoveryConfig {
   bool nbr_monitor{false};
 
   [[nodiscard]] bool enabled() const { return scf || retx || nbr_monitor; }
-  /// Copy with `VGR_SCF`, `VGR_SCF_MAX_PKTS`, `VGR_SCF_MAX_BYTES`,
-  /// `VGR_RETX`, `VGR_RETX_MAX`, `VGR_RETX_BACKOFF_MS` and
-  /// `VGR_NBR_MONITOR` applied over the programmatic values.
-  [[nodiscard]] RecoveryConfig with_env_overrides() const;
 };
 
 /// Full configuration of one simulation run on the paper's 4,000 m highway.

@@ -4,16 +4,7 @@
 #include <chrono>
 #include <memory>
 
-#include "vgr/sim/env.hpp"
-
 namespace vgr::sim {
-
-std::size_t ThreadPool::default_thread_count() {
-  if (const auto v = env_int("VGR_THREADS"); v.has_value() && *v > 0) {
-    return static_cast<std::size_t>(*v);
-  }
-  return hardware_threads();
-}
 
 std::size_t ThreadPool::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -21,7 +12,7 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_thread_count();
+  if (threads == 0) threads = hardware_threads();
   queues_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) queues_.push_back(std::make_unique<Queue>());
   // With one thread the caller does all the work in parallel_for; spawning a

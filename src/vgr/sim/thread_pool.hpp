@@ -25,7 +25,7 @@ namespace vgr::sim {
 /// too, so a 1-thread pool degrades to a plain serial loop.
 class ThreadPool {
  public:
-  /// Creates `threads` workers. 0 picks `default_thread_count()`.
+  /// Creates `threads` workers. 0 picks `hardware_threads()`.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -43,13 +43,8 @@ class ThreadPool {
   /// Exceptions escaping `fn` terminate (tasks must be noexcept in spirit).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// VGR_THREADS from the environment (validated), else the hardware
-  /// concurrency, else 1.
-  static std::size_t default_thread_count();
-
-  /// Physical hardware concurrency, ignoring VGR_THREADS; never 0 (an
-  /// unknown count reports as 1). Benches use this to flag ladder rows
-  /// that oversubscribe the host.
+  /// Physical hardware concurrency; never 0 (an unknown count reports as
+  /// 1). Benches use this to flag ladder rows that oversubscribe the host.
   static std::size_t hardware_threads();
 
  private:

@@ -1,7 +1,7 @@
 #include "vgr/sweep/ab_codec.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "vgr/sweep/json.hpp"
 
@@ -25,15 +25,17 @@ void append_bin_array(std::string& out, const char* key, const sim::BinnedRate& 
 void append_totals(std::string& out, const char* key, const AbResult::ArmTotals& t) {
   out += "\"";
   out += key;
-  out += "\":{\"mac_queue_overflow\":" + std::to_string(t.mac_queue_overflow);
-  out += ",\"mac_retry_exhausted\":" + std::to_string(t.mac_retry_exhausted);
-  out += ",\"mac_dcc_gated\":" + std::to_string(t.mac_dcc_gated);
-  out += ",\"mac_backoff_retries\":" + std::to_string(t.mac_backoff_retries);
-  out += ",\"mac_transmitted\":" + std::to_string(t.mac_transmitted);
-  out += ",\"ingest_drops\":" + std::to_string(t.ingest_drops);
-  out += ",\"frames_flooded\":" + std::to_string(t.frames_flooded);
-  out += ",\"peak_cbr\":";
-  json_append_double(out, t.peak_cbr);
+  out += "\":{";
+  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto) {
+    out += out.back() == '{' ? "\"" : ",\"";
+    out += name;
+    out += "\":";
+    if constexpr (std::is_same_v<std::decay_t<decltype(t.*member)>, double>) {
+      json_append_double(out, t.*member);
+    } else {
+      out += std::to_string(t.*member);
+    }
+  });
   out += "}";
 }
 
@@ -57,26 +59,14 @@ bool read_bins(const JsonValue& root, const char* key, sim::BinnedRate& bins, bo
 bool read_totals(const JsonValue& root, const char* key, AbResult::ArmTotals& t) {
   const JsonValue* obj = root.find(key);
   if (obj == nullptr || obj->kind != JsonValue::Kind::kObject) return false;
-  t.mac_queue_overflow = obj->u64("mac_queue_overflow");
-  t.mac_retry_exhausted = obj->u64("mac_retry_exhausted");
-  t.mac_dcc_gated = obj->u64("mac_dcc_gated");
-  t.mac_backoff_retries = obj->u64("mac_backoff_retries");
-  t.mac_transmitted = obj->u64("mac_transmitted");
-  t.ingest_drops = obj->u64("ingest_drops");
-  t.frames_flooded = obj->u64("frames_flooded");
-  t.peak_cbr = obj->num("peak_cbr");
+  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(t.*member)>, double>) {
+      t.*member = obj->num(name);
+    } else {
+      t.*member = obj->u64(name);
+    }
+  });
   return true;
-}
-
-void accumulate(AbResult::ArmTotals& into, const AbResult::ArmTotals& from) {
-  into.mac_queue_overflow += from.mac_queue_overflow;
-  into.mac_retry_exhausted += from.mac_retry_exhausted;
-  into.mac_dcc_gated += from.mac_dcc_gated;
-  into.mac_backoff_retries += from.mac_backoff_retries;
-  into.mac_transmitted += from.mac_transmitted;
-  into.ingest_drops += from.ingest_drops;
-  into.frames_flooded += from.frames_flooded;
-  into.peak_cbr = std::max(into.peak_cbr, from.peak_cbr);
 }
 
 }  // namespace
@@ -171,8 +161,8 @@ std::optional<AbResult> merge_ab_payloads(const std::vector<std::string>& payloa
     }
     merged->baseline.merge(shard->baseline);
     merged->attacked.merge(shard->attacked);
-    accumulate(merged->baseline_totals, shard->baseline_totals);
-    accumulate(merged->attacked_totals, shard->attacked_totals);
+    merged->baseline_totals.merge(shard->baseline_totals);
+    merged->attacked_totals.merge(shard->attacked_totals);
     merged->reception_base_hits += shard->reception_base_hits;
     merged->reception_base_trials += shard->reception_base_trials;
     merged->reception_atk_hits += shard->reception_atk_hits;

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "vgr/scenario/ab_runner.hpp"
 
@@ -122,50 +121,7 @@ TEST(ParallelHarness, SpatialIndexDoesNotChangeResults) {
   expect_bit_identical(indexed, scanned);
 }
 
-TEST(Fidelity, FromEnvRejectsMalformedTokensWhole) {
-  ::setenv("VGR_RUNS", "5", 1);
-  ::setenv("VGR_SIM_SECONDS", "12.5", 1);
-  ::setenv("VGR_THREADS", "2", 1);
-  Fidelity f = Fidelity::from_env(3);
-  EXPECT_EQ(f.runs, 5u);
-  EXPECT_DOUBLE_EQ(f.sim_seconds, 12.5);
-  EXPECT_EQ(f.threads, 2u);
-
-  // "5x" used to be accepted as 5 (strtol prefix parse) and "abc" silently
-  // became the default; both are now rejected whole-token with a warning.
-  ::setenv("VGR_RUNS", "5x", 1);
-  ::setenv("VGR_SIM_SECONDS", "abc", 1);
-  ::setenv("VGR_THREADS", "-2", 1);  // parses, but non-positive: ignored
-  f = Fidelity::from_env(3);
-  EXPECT_EQ(f.runs, 3u);
-  EXPECT_DOUBLE_EQ(f.sim_seconds, -1.0);
-  EXPECT_EQ(f.threads, 0u);
-
-  ::unsetenv("VGR_RUNS");
-  ::unsetenv("VGR_SIM_SECONDS");
-  ::unsetenv("VGR_THREADS");
-  f = Fidelity::from_env(7);
-  EXPECT_EQ(f.runs, 7u);
-}
-
 // --- Per-run watchdog (docs/robustness.md) --------------------------------
-
-TEST(Fidelity, WatchdogKnobsParseFromEnv) {
-  ::setenv("VGR_RUN_TIMEOUT_S", "2.5", 1);
-  ::setenv("VGR_RUN_MAX_EVENTS", "5000", 1);
-  Fidelity f = Fidelity::from_env(3);
-  EXPECT_DOUBLE_EQ(f.run_wall_budget_s, 2.5);
-  EXPECT_EQ(f.run_max_events, 5000u);
-
-  ::setenv("VGR_RUN_TIMEOUT_S", "-1", 1);   // non-positive: ignored
-  ::setenv("VGR_RUN_MAX_EVENTS", "12x", 1); // malformed: rejected whole-token
-  f = Fidelity::from_env(3);
-  EXPECT_DOUBLE_EQ(f.run_wall_budget_s, 0.0);
-  EXPECT_EQ(f.run_max_events, 0u);
-
-  ::unsetenv("VGR_RUN_TIMEOUT_S");
-  ::unsetenv("VGR_RUN_MAX_EVENTS");
-}
 
 TEST(ParallelHarness, TinyEventBudgetReportsRunsAsTimedOut) {
   // An event budget far below what a run needs trips the circuit breaker in

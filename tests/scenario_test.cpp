@@ -169,19 +169,6 @@ TEST(AbRunner, ProducesConsistentAggregates) {
   EXPECT_GE(r.baseline_reception, r.attacked_reception);
 }
 
-TEST(Fidelity, EnvOverridesAreParsed) {
-  setenv("VGR_RUNS", "7", 1);
-  setenv("VGR_SIM_SECONDS", "42.5", 1);
-  const Fidelity f = Fidelity::from_env(3);
-  EXPECT_EQ(f.runs, 7u);
-  EXPECT_DOUBLE_EQ(f.sim_seconds, 42.5);
-  unsetenv("VGR_RUNS");
-  unsetenv("VGR_SIM_SECONDS");
-  const Fidelity d = Fidelity::from_env(3);
-  EXPECT_EQ(d.runs, 3u);
-  EXPECT_LT(d.sim_seconds, 0.0);
-}
-
 TEST(HighwayScenario, AblationKnobsPlumbThrough) {
   // interference / ACK / pseudonym switches must reach the stack without
   // breaking a short run.

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 #include <vector>
 
-#include "vgr/sim/env.hpp"
 #include "vgr/sim/thread_pool.hpp"
 
 namespace vgr::sim {
@@ -56,40 +54,6 @@ TEST(ThreadPool, SubmitRunsDetachedTasks) {
     while (ran.load() < 10) std::this_thread::yield();
   }
   EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(EnvParsing, WholeTokenValidation) {
-  ::setenv("VGR_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("VGR_TEST_INT"), 42);
-  ::setenv("VGR_TEST_INT", "  7", 1);  // leading blanks fine (strtol skips)
-  EXPECT_EQ(env_int("VGR_TEST_INT"), 7);
-  ::setenv("VGR_TEST_INT", "5x", 1);  // trailing garbage: reject whole token
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
-  ::setenv("VGR_TEST_INT", "abc", 1);
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
-  ::setenv("VGR_TEST_INT", "", 1);
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
-  ::unsetenv("VGR_TEST_INT");
-  EXPECT_FALSE(env_int("VGR_TEST_INT").has_value());
-
-  ::setenv("VGR_TEST_DBL", "2.5", 1);
-  EXPECT_EQ(env_double("VGR_TEST_DBL"), 2.5);
-  ::setenv("VGR_TEST_DBL", "2.5s", 1);
-  EXPECT_FALSE(env_double("VGR_TEST_DBL").has_value());
-  // strtod parses these whole, but no knob accepts a non-finite value.
-  for (const char* non_finite : {"inf", "-inf", "nan", "infinity"}) {
-    ::setenv("VGR_TEST_DBL", non_finite, 1);
-    EXPECT_FALSE(env_double("VGR_TEST_DBL").has_value()) << non_finite;
-  }
-  ::unsetenv("VGR_TEST_DBL");
-}
-
-TEST(EnvParsing, DefaultThreadCountHonoursEnv) {
-  ::setenv("VGR_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
-  ::setenv("VGR_THREADS", "abc", 1);  // rejected -> hardware fallback >= 1
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
-  ::unsetenv("VGR_THREADS");
 }
 
 }  // namespace

@@ -618,6 +618,31 @@ TEST(LintRngStream, WaiverAndSimRandomWhitelistSilence) {
   EXPECT_EQ(lint_source("src/vgr/gn/x.cpp", unwaived).size(), 1u);
 }
 
+// --- VGR012 environment access ------------------------------------------------
+
+TEST(LintEnv, FlagsEnvironmentReadsOutsideTheKnobTable) {
+  const auto f = lint_source("bench/bench_x.cpp",
+                             "#include <cstdlib>\n"
+                             "extern char** environ;\n"
+                             "const char* a() { return std::getenv(\"VGR_RUNS\"); }\n"
+                             "const char* b() { return secure_getenv(\"HOME\"); }\n");
+  EXPECT_EQ(rules_of(f), (std::vector<std::string>{"VGR012", "VGR012", "VGR012"}));
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_EQ(lint_source("src/vgr/scenario/x.cpp", "auto* v = getenv(\"X\");\n").size(), 1u);
+}
+
+TEST(LintEnv, KnobTableMembersTestsAndWaiversAreExempt) {
+  const char* body = "const char* a() { return std::getenv(\"VGR_RUNS\"); }\n";
+  EXPECT_TRUE(lint_source("src/vgr/sweep/knobs.cpp", body).empty());
+  EXPECT_TRUE(lint_source("tests/x_test.cpp", body).empty());
+  // A member that happens to share the name is not the C library.
+  EXPECT_TRUE(
+      lint_source("src/vgr/gn/x.cpp", "auto e(const S& s) { return s.environ; }\n").empty());
+  EXPECT_TRUE(lint_source("tools/x.cpp",
+                          "auto* v = std::getenv(\"X\");  // vgr-lint: env-ok (demo)\n")
+                  .empty());
+}
+
 // --- VGR011 dead waivers ----------------------------------------------------
 
 TEST(LintDeadWaiver, DeadLineWaiverIsAFinding) {
@@ -682,9 +707,9 @@ TEST(LintSarif, EmitsSchemaFieldsRulesAndEscapedResults) {
   EXPECT_EQ(driver->text("name"), "vgr_lint");
   const auto* rules = driver->find("rules");
   ASSERT_NE(rules, nullptr);
-  ASSERT_EQ(rules->array.size(), 11u);
+  ASSERT_EQ(rules->array.size(), 12u);
   EXPECT_EQ(rules->array.front().text("id"), "VGR001");
-  EXPECT_EQ(rules->array.back().text("id"), "VGR011");
+  EXPECT_EQ(rules->array.back().text("id"), "VGR012");
 
   const auto* results = runs->array[0].find("results");
   ASSERT_NE(results, nullptr);
@@ -741,7 +766,7 @@ TEST(LintCliRules, ListRulesCoversTheWholeCatalogue) {
   std::ostringstream out, err;
   EXPECT_EQ(run_lint({"--list-rules"}, out, err), 0);
   for (const char* id : {"VGR001", "VGR002", "VGR003", "VGR004", "VGR005", "VGR006", "VGR007",
-                         "VGR008", "VGR009", "VGR010", "VGR011"}) {
+                         "VGR008", "VGR009", "VGR010", "VGR011", "VGR012"}) {
     EXPECT_NE(out.str().find(id), std::string::npos) << id;
   }
   EXPECT_NE(out.str().find("layering-ok"), std::string::npos);

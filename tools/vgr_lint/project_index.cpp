@@ -12,7 +12,7 @@ const std::set<std::string>& known_tags() {
   static const std::set<std::string> tags{
       "wall-clock-ok", "rng-ok",        "ordered-ok",     "pointer-key-ok",
       "float-accum-ok", "thread-include-ok", "signal-safe-ok", "layering-ok",
-      "rng-stream-ok", "dead-waiver-ok"};
+      "rng-stream-ok", "dead-waiver-ok", "env-ok"};
   return tags;
 }
 

@@ -83,6 +83,12 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "Each waiver tag (line or region) must suppress at least one finding in its "
        "span, or be deleted. A deliberately prophylactic waiver can carry "
        "dead-waiver-ok — which is itself exempt from deadness tracking."},
+      {"VGR012", "env-access", "env-ok",
+       "environment access outside the knob table",
+       "Runtime knobs have one declaration, the table in src/vgr/sweep/knobs.cpp, "
+       "which each bench and tool main parses once into plain config structs; a "
+       "library layer that reads the environment makes results depend on the "
+       "caller's shell. Flagged in src/, bench/ and tools/. Whitelisted: knobs.cpp."},
   };
   return rules;
 }

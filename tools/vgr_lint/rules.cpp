@@ -447,6 +447,25 @@ void rule_rng_stream(Linter& lint) {
 }
 
 // ---------------------------------------------------------------------------
+// VGR012 — environment access outside the knob table (sweep/knobs.cpp).
+// ---------------------------------------------------------------------------
+void rule_env_access(Linter& lint) {
+  const std::string_view p = lint.rel_path;
+  if (!p.starts_with("src/") && !p.starts_with("bench/") && !p.starts_with("tools/")) return;
+  if (path_is(p, {"src/vgr/sweep/knobs.cpp"})) return;
+  static const std::set<std::string> kEnv{"getenv", "secure_getenv", "environ"};
+  const auto& t = lint.scan.toks;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent || !kEnv.contains(t[i].text)) continue;
+    if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) continue;  // a member
+    lint.report(t[i].line, "VGR012", "env-ok",
+                "environment access '" + t[i].text +
+                    "' — read runtime knobs through the table in src/vgr/sweep/knobs.cpp "
+                    "and pass plain config structs");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // VGR011 — dead waivers: a tag that suppressed nothing is itself a finding.
 // Runs after every other rule so the usage marks are complete. The
 // dead-waiver-ok tag is exempt from deadness tracking (it waives VGR011
@@ -487,6 +506,7 @@ std::vector<Finding> lint_one(IndexedFile& file, const std::set<std::string>& un
   rule_signal_safety(lint);
   rule_module_layering(lint, file.module, file.scan, layers);
   rule_rng_stream(lint);
+  rule_env_access(lint);
   rule_dead_waiver(lint);
 
   std::vector<Finding> out = std::move(lint.findings);

@@ -21,7 +21,7 @@
 ///   VGR001 wall-clock       VGR002 ambient-rng      VGR003 unordered-iter
 ///   VGR004 pointer-key      VGR005 float-accum      VGR006 thread-include
 ///   VGR007 bad-waiver       VGR008 signal-safety    VGR009 module-layering
-///   VGR010 rng-stream       VGR011 dead-waiver
+///   VGR010 rng-stream       VGR011 dead-waiver      VGR012 env-access
 ///
 /// Waivers: `// vgr-lint: <tag>-ok` (optionally with a rationale in
 /// parentheses) on the violating line or the line directly above silences

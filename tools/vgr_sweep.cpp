@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "vgr/sweep/knobs.hpp"
 #include "vgr/sweep/resilience_sweep.hpp"
 
 namespace {
@@ -84,13 +85,11 @@ int main(int argc, char** argv) {
   const std::string mode = argv[1];
   if (mode != "run" && mode != "resume" && mode != "status") return usage();
 
-  sweep::SupervisorConfig config = sweep::SupervisorConfig::from_env();
+  const sweep::KnobSpec knobs = sweep::knobs_from_env(/*default_runs=*/4);
+  sweep::SupervisorConfig config = knobs.supervisor;
   config.enabled = true;
   config.resume = mode == "resume";
-  std::string out_path = "BENCH_resilience.json";
-  if (const char* env = std::getenv("VGR_BENCH_JSON"); env != nullptr && *env != '\0') {
-    out_path = env;
-  }
+  std::string out_path = knobs.bench_json.empty() ? "BENCH_resilience.json" : knobs.bench_json;
   sweep::ResilienceSelection selection;
 
   for (int i = 2; i < argc; ++i) {
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
 
   if (mode == "status") return status(config.journal_path);
 
-  scenario::Fidelity fidelity = scenario::Fidelity::from_env(/*default_runs=*/4);
+  scenario::Fidelity fidelity = knobs.fidelity;
   if (fidelity.sim_seconds <= 0.0) fidelity.sim_seconds = 20.0;
 
   sweep::Supervisor supervisor{config};
