@@ -1,8 +1,8 @@
 #include "vgr/scenario/ab_runner.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <optional>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "vgr/sim/thread_pool.hpp"
@@ -12,10 +12,14 @@ namespace {
 
 constexpr sim::Duration kBin = sim::Duration::seconds(5.0);
 
+/// The horizon every run of `config` under `fidelity` simulates to.
+sim::Duration horizon(const HighwayConfig& config, const Fidelity& fidelity) {
+  return fidelity.sim_seconds > 0.0 ? sim::Duration::seconds(fidelity.sim_seconds)
+                                    : config.sim_duration;
+}
+
 void apply_fidelity(HighwayConfig& config, const Fidelity& fidelity) {
-  if (fidelity.sim_seconds > 0.0) {
-    config.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-  }
+  config.sim_duration = horizon(config, fidelity);
   // Knob-set resilience, MAC and DCC fields apply to every run of every
   // experiment binary, so any existing sweep can be re-run under channel
   // faults, node churn, the recovery layer or a contended channel without a
@@ -33,160 +37,107 @@ AttackKind b_arm_attack(const HighwayConfig& config, AttackKind fallback) {
   return config.attack == AttackKind::kNone ? fallback : config.attack;
 }
 
+/// One seed's run pair as a one-run AbResult, ready to fold in seed order.
 template <typename Result>
-void count_timeouts(AbResult& out, const Result& baseline, const Result& attacked) {
-  if (baseline.timed_out || attacked.timed_out) ++out.timed_out_runs;
+AbResult one_run(const Result& baseline, const Result& attacked) {
+  AbResult r{baseline.binned(kBin), attacked.binned(kBin)};
+  r.baseline_totals = AbResult::ArmTotals::of(baseline);
+  r.attacked_totals = AbResult::ArmTotals::of(attacked);
+  r.runs = 1;
+  if (baseline.timed_out || attacked.timed_out) r.timed_out_runs = 1;
   for (const sim::BudgetTrip cause : {baseline.timed_out_cause, attacked.timed_out_cause}) {
-    if (cause == sim::BudgetTrip::kEvents) ++out.timed_out_events;
-    if (cause == sim::BudgetTrip::kWall) ++out.timed_out_wall;
+    if (cause == sim::BudgetTrip::kEvents) ++r.timed_out_events;
+    if (cause == sim::BudgetTrip::kWall) ++r.timed_out_wall;
   }
+  if constexpr (std::is_same_v<Result, InterAreaResult>) {
+    // Inter-area receptions are packet-weighted run averages.
+    const auto base_packets = static_cast<double>(baseline.packets.size());
+    const auto atk_packets = static_cast<double>(attacked.packets.size());
+    r.reception_base_hits = baseline.overall_reception() * base_packets;
+    r.reception_base_trials = base_packets;
+    r.reception_atk_hits = attacked.overall_reception() * atk_packets;
+    r.reception_atk_trials = atk_packets;
+  }
+  return r;
 }
 
-/// One run's counters as arm totals, for AbResult::ArmTotals::merge.
-template <typename Result>
-AbResult::ArmTotals run_totals(const Result& r) {
-  AbResult::ArmTotals t;
-  t.mac_queue_overflow = r.mac.queue_overflow_drops;
-  t.mac_retry_exhausted = r.mac.retry_exhausted_drops;
-  t.mac_dcc_gated = r.mac.dcc_gated_drops;
-  t.mac_backoff_retries = r.mac.backoff_retries;
-  t.mac_transmitted = r.mac.transmitted;
-  t.ingest_drops = r.ingest_drops;
-  t.frames_flooded = r.frames_flooded;
-  t.peak_cbr = r.peak_cbr;
-  return t;
-}
-
-/// Dispatches `fidelity.runs` independent runs across a thread pool and
-/// hands each per-run result to `merge` in strict seed order. Each run is a
-/// self-contained `HighwayScenario` (own event queue, medium, RNG stream
-/// seeded from the run index), so the only cross-thread state is the result
-/// slot each run writes once. Merging in seed order keeps every floating-
-/// point accumulation in the exact order of the serial loop, which is what
-/// makes the output bit-identical for any VGR_THREADS.
-template <typename RunResult, typename RunFn, typename MergeFn>
-void for_each_run_in_order(const Fidelity& fidelity, RunFn run_fn, MergeFn merge) {
-  const std::size_t runs = static_cast<std::size_t>(fidelity.runs);
-  std::vector<std::optional<RunResult>> results(runs);
+/// The A/B driver of both experiments (`Run` is the HighwayScenario member
+/// that runs one). Dispatches `fidelity.runs` seed-paired runs across a
+/// thread pool and folds their one-run results in strict seed order. Each
+/// run is a self-contained `HighwayScenario` (own event queue, medium, RNG
+/// stream seeded from the run index), so the only cross-thread state is the
+/// result slot each run writes once. Folding in seed order keeps every
+/// floating-point accumulation in the exact order of the serial loop, which
+/// is what makes the output bit-identical for any VGR_THREADS.
+template <auto Run, AttackKind kClassicAttack>
+AbResult run_ab(HighwayConfig config, const Fidelity& fidelity) {
+  AbResult out = empty_ab_result(config, fidelity);
+  apply_fidelity(config, fidelity);
+  const auto run_pair = [&config, first = fidelity.first_run](std::size_t run) {
+    const auto run_arm = [&](AttackKind attack) {
+      HighwayConfig c = config;
+      c.seed = first + run + 1;
+      c.attack = attack;
+      return std::invoke(Run, HighwayScenario{c});
+    };
+    const auto baseline = run_arm(AttackKind::kNone);
+    const auto attacked = run_arm(b_arm_attack(config, kClassicAttack));
+    return one_run(baseline, attacked);
+  };
+  const auto runs = static_cast<std::size_t>(fidelity.runs);
+  std::vector<std::optional<AbResult>> pairs(runs);
   sim::ThreadPool pool{fidelity.threads};
-  pool.parallel_for(runs, [&](std::size_t run) { results[run].emplace(run_fn(run)); });
-  for (std::size_t run = 0; run < runs; ++run) merge(*results[run]);
+  // Two references: small enough for std::function's inline buffer, so the
+  // dispatch itself allocates nothing.
+  pool.parallel_for(runs, [&pairs, &run_pair](std::size_t run) {
+    pairs[run].emplace(run_pair(run));
+  });
+  for (const std::optional<AbResult>& pair : pairs) out.merge(*pair);
+  out.finish();
+  return out;
 }
 
 }  // namespace
 
+void AbResult::merge(const AbResult& next) {
+  baseline.merge(next.baseline);
+  attacked.merge(next.attacked);
+  baseline_totals.merge(next.baseline_totals);
+  attacked_totals.merge(next.attacked_totals);
+  reception_base_hits += next.reception_base_hits;
+  reception_base_trials += next.reception_base_trials;
+  reception_atk_hits += next.reception_atk_hits;
+  reception_atk_trials += next.reception_atk_trials;
+  runs += next.runs;
+  timed_out_runs += next.timed_out_runs;
+  timed_out_events += next.timed_out_events;
+  timed_out_wall += next.timed_out_wall;
+}
+
+void AbResult::finish() {
+  attack_rate = sim::BinnedRate::average_drop(baseline, attacked);
+  if (reception_base_trials > 0.0 || reception_atk_trials > 0.0) {
+    baseline_reception =
+        reception_base_trials > 0.0 ? reception_base_hits / reception_base_trials : 0.0;
+    attacked_reception =
+        reception_atk_trials > 0.0 ? reception_atk_hits / reception_atk_trials : 0.0;
+  } else {
+    baseline_reception = baseline.overall();
+    attacked_reception = attacked.overall();
+  }
+}
+
+AbResult empty_ab_result(const HighwayConfig& config, const Fidelity& fidelity) {
+  const sim::Duration h = horizon(config, fidelity);
+  return AbResult{sim::BinnedRate{kBin, h}, sim::BinnedRate{kBin, h}};
+}
+
 AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity) {
-  apply_fidelity(config, fidelity);
-  AbResult out{sim::BinnedRate{kBin, config.sim_duration},
-               sim::BinnedRate{kBin, config.sim_duration}};
-  double base_hits = 0.0, base_total = 0.0, atk_hits = 0.0, atk_total = 0.0;
-
-  struct RunResult {
-    InterAreaResult baseline;
-    InterAreaResult attacked;
-  };
-  for_each_run_in_order<RunResult>(
-      fidelity,
-      [&config, first = fidelity.first_run](std::size_t run) {
-        HighwayConfig a = config;
-        a.seed = first + run + 1;
-        a.attack = AttackKind::kNone;
-        HighwayConfig b = config;
-        b.seed = first + run + 1;
-        b.attack = b_arm_attack(config, AttackKind::kInterArea);
-        return RunResult{HighwayScenario{a}.run_inter_area(),
-                         HighwayScenario{b}.run_inter_area()};
-      },
-      [&](const RunResult& r) {
-        out.baseline.merge(r.baseline.binned(kBin));
-        out.attacked.merge(r.attacked.binned(kBin));
-        out.baseline_totals.merge(run_totals(r.baseline));
-        out.attacked_totals.merge(run_totals(r.attacked));
-        count_timeouts(out, r.baseline, r.attacked);
-        // vgr-lint: begin float-accum-ok (merge runs in strict seed order, so
-        // the summation order below is fixed for any VGR_THREADS)
-        base_hits += r.baseline.overall_reception() *
-                     static_cast<double>(r.baseline.packets.size());
-        base_total += static_cast<double>(r.baseline.packets.size());
-        atk_hits += r.attacked.overall_reception() *
-                    static_cast<double>(r.attacked.packets.size());
-        atk_total += static_cast<double>(r.attacked.packets.size());
-        // vgr-lint: end
-      });
-
-  out.runs = fidelity.runs;
-  out.attack_rate = sim::BinnedRate::average_drop(out.baseline, out.attacked);
-  out.baseline_reception = base_total > 0.0 ? base_hits / base_total : 0.0;
-  out.attacked_reception = atk_total > 0.0 ? atk_hits / atk_total : 0.0;
-  out.reception_base_hits = base_hits;
-  out.reception_base_trials = base_total;
-  out.reception_atk_hits = atk_hits;
-  out.reception_atk_trials = atk_total;
-  return out;
+  return run_ab<&HighwayScenario::run_inter_area, AttackKind::kInterArea>(config, fidelity);
 }
 
 AbResult run_intra_area_ab(HighwayConfig config, const Fidelity& fidelity) {
-  apply_fidelity(config, fidelity);
-  AbResult out{sim::BinnedRate{kBin, config.sim_duration},
-               sim::BinnedRate{kBin, config.sim_duration}};
-
-  struct RunResult {
-    IntraAreaResult baseline;
-    IntraAreaResult attacked;
-  };
-  for_each_run_in_order<RunResult>(
-      fidelity,
-      [&config, first = fidelity.first_run](std::size_t run) {
-        HighwayConfig a = config;
-        a.seed = first + run + 1;
-        a.attack = AttackKind::kNone;
-        HighwayConfig b = config;
-        b.seed = first + run + 1;
-        b.attack = b_arm_attack(config, AttackKind::kIntraArea);
-        return RunResult{HighwayScenario{a}.run_intra_area(),
-                         HighwayScenario{b}.run_intra_area()};
-      },
-      [&](const RunResult& r) {
-        out.baseline.merge(r.baseline.binned(kBin));
-        out.attacked.merge(r.attacked.binned(kBin));
-        out.baseline_totals.merge(run_totals(r.baseline));
-        out.attacked_totals.merge(run_totals(r.attacked));
-        count_timeouts(out, r.baseline, r.attacked);
-      });
-
-  out.runs = fidelity.runs;
-  out.attack_rate = sim::BinnedRate::average_drop(out.baseline, out.attacked);
-  out.baseline_reception = out.baseline.overall();
-  out.attacked_reception = out.attacked.overall();
-  return out;
-}
-
-sim::BinnedRate run_inter_area_arm(HighwayConfig config, const Fidelity& fidelity) {
-  apply_fidelity(config, fidelity);
-  sim::BinnedRate merged{kBin, config.sim_duration};
-  for_each_run_in_order<sim::BinnedRate>(
-      fidelity,
-      [&config, first = fidelity.first_run](std::size_t run) {
-        HighwayConfig c = config;
-        c.seed = first + run + 1;
-        return HighwayScenario{c}.run_inter_area().binned(kBin);
-      },
-      [&](const sim::BinnedRate& r) { merged.merge(r); });
-  return merged;
-}
-
-sim::BinnedRate run_intra_area_arm(HighwayConfig config, const Fidelity& fidelity) {
-  apply_fidelity(config, fidelity);
-  sim::BinnedRate merged{kBin, config.sim_duration};
-  for_each_run_in_order<sim::BinnedRate>(
-      fidelity,
-      [&config, first = fidelity.first_run](std::size_t run) {
-        HighwayConfig c = config;
-        c.seed = first + run + 1;
-        return HighwayScenario{c}.run_intra_area().binned(kBin);
-      },
-      [&](const sim::BinnedRate& r) { merged.merge(r); });
-  return merged;
+  return run_ab<&HighwayScenario::run_intra_area, AttackKind::kIntraArea>(config, fidelity);
 }
 
 }  // namespace vgr::scenario

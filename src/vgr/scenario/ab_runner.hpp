@@ -15,9 +15,10 @@ namespace vgr::scenario {
 /// interception, lambda for intra-area blockage — the average relative
 /// reception drop over 5 s bins).
 struct AbResult {
-  /// Per-arm drop/congestion totals, summed over every run of the arm
-  /// (docs/robustness.md). The MAC counters are zero unless the MAC layer
-  /// is enabled; ingest drops are zero on an un-faulted channel.
+  /// Per-arm drop/congestion totals, folded over every run of the arm from
+  /// each run's RunCounters (docs/robustness.md). The MAC counters are zero
+  /// unless the MAC layer is enabled; ingest drops are zero on an
+  /// un-faulted channel.
   struct ArmTotals {
     std::uint64_t mac_queue_overflow{0};
     std::uint64_t mac_retry_exhausted{0};
@@ -29,25 +30,42 @@ struct AbResult {
     double peak_cbr{0.0};  ///< max over runs of the per-run peak CBR
 
     enum class Merge { kSum, kMax };
-    /// The counter list: calls `fn(json_name, member_pointer, merge)` once
-    /// per field, in journal key order. Run merges, shard merges and the
-    /// journal codec (vgr/sweep/ab_codec) all walk it, so a new counter is
-    /// one line here.
+    /// The counter list: calls `fn(json_name, member_pointer, merge, source)`
+    /// once per field, in journal key order; `source` reads the field from
+    /// one run's RunCounters. Runs, shard merges and the journal codec
+    /// (vgr/sweep/ab_codec) all walk it, so a new counter is one row here.
     template <typename Fn>
     static void for_each_counter(Fn&& fn) {
-      fn("mac_queue_overflow", &ArmTotals::mac_queue_overflow, Merge::kSum);
-      fn("mac_retry_exhausted", &ArmTotals::mac_retry_exhausted, Merge::kSum);
-      fn("mac_dcc_gated", &ArmTotals::mac_dcc_gated, Merge::kSum);
-      fn("mac_backoff_retries", &ArmTotals::mac_backoff_retries, Merge::kSum);
-      fn("mac_transmitted", &ArmTotals::mac_transmitted, Merge::kSum);
-      fn("ingest_drops", &ArmTotals::ingest_drops, Merge::kSum);
-      fn("frames_flooded", &ArmTotals::frames_flooded, Merge::kSum);
-      fn("peak_cbr", &ArmTotals::peak_cbr, Merge::kMax);
+      using R = const RunCounters&;
+      fn("mac_queue_overflow", &ArmTotals::mac_queue_overflow, Merge::kSum,
+         [](R r) { return r.mac.queue_overflow_drops; });
+      fn("mac_retry_exhausted", &ArmTotals::mac_retry_exhausted, Merge::kSum,
+         [](R r) { return r.mac.retry_exhausted_drops; });
+      fn("mac_dcc_gated", &ArmTotals::mac_dcc_gated, Merge::kSum,
+         [](R r) { return r.mac.dcc_gated_drops; });
+      fn("mac_backoff_retries", &ArmTotals::mac_backoff_retries, Merge::kSum,
+         [](R r) { return r.mac.backoff_retries; });
+      fn("mac_transmitted", &ArmTotals::mac_transmitted, Merge::kSum,
+         [](R r) { return r.mac.transmitted; });
+      fn("ingest_drops", &ArmTotals::ingest_drops, Merge::kSum,
+         [](R r) { return r.ingest_drops; });
+      fn("frames_flooded", &ArmTotals::frames_flooded, Merge::kSum,
+         [](R r) { return r.frames_flooded; });
+      fn("peak_cbr", &ArmTotals::peak_cbr, Merge::kMax, [](R r) { return r.peak_cbr; });
+    }
+
+    /// One run's counters as arm totals.
+    static ArmTotals of(const RunCounters& run) {
+      ArmTotals t;
+      for_each_counter([&](const char*, auto member, Merge, auto source) {
+        t.*member = source(run);
+      });
+      return t;
     }
 
     /// Folds `other` into these totals, field by field per its merge rule.
     void merge(const ArmTotals& other) {
-      for_each_counter([&](const char*, auto member, Merge how) {
+      for_each_counter([&](const char*, auto member, Merge how, auto) {
         this->*member = how == Merge::kSum ? this->*member + other.*member
                                            : std::max(this->*member, other.*member);
       });
@@ -82,6 +100,16 @@ struct AbResult {
   /// supervisor's retry/degrade ladder keys off the distinction.
   std::uint64_t timed_out_events{0};
   std::uint64_t timed_out_wall{0};
+
+  /// Folds `next`, the result of the following seed range, into this one:
+  /// bins, arm totals, reception accumulators, run and timeout counts. Runs
+  /// and sweep shards both fold in seed order, so every floating-point sum
+  /// has one fixed order. Both results must share one bin geometry.
+  void merge(const AbResult& next);
+  /// Derives `attack_rate` and the two receptions from the folded
+  /// accumulators: packet-weighted when any packet was counted (inter-area),
+  /// else the overall rate of the merged bins (intra-area).
+  void finish();
 };
 
 /// Per-run config fields set by runtime knobs, as plain data: `values`
@@ -92,6 +120,11 @@ struct AbResult {
 struct ConfigOverrides {
   HighwayConfig values{};
   std::vector<void (*)(HighwayConfig& to, const HighwayConfig& from)> fields;
+  /// The knob rows behind `fields` as `NAME=value;` text, in knob-table
+  /// order (filled by the knob parser, vgr/sweep/knobs.cpp). Unlike the
+  /// function pointers it is the same in every process, so sweep shard
+  /// keys fingerprint it.
+  std::string settings;
 
   /// Marks the member reached by the member-pointer chain `Path` (e.g.
   /// `&HighwayConfig::faults, &phy::FaultConfig::drop_probability`) as set
@@ -134,6 +167,10 @@ struct Fidelity {
   ConfigOverrides overrides{};
 };
 
+/// An all-zero A/B result with the bin geometry every run of `config` under
+/// `fidelity` is folded into: 5 s bins up to the effective horizon.
+AbResult empty_ab_result(const HighwayConfig& config, const Fidelity& fidelity);
+
 /// Runs `runs` paired (attacker-free, attacked) inter-area experiments with
 /// seeds 1..runs and merges the binned reception timelines. `config.attack`
 /// selects the attacker for the B-arm (kNone keeps the classic kInterArea
@@ -142,9 +179,5 @@ AbResult run_inter_area_ab(HighwayConfig config, const Fidelity& fidelity);
 
 /// Same pairing for the intra-area (CBF flood) experiment.
 AbResult run_intra_area_ab(HighwayConfig config, const Fidelity& fidelity);
-
-/// Single-arm helpers (used when the baseline is shared across settings).
-sim::BinnedRate run_inter_area_arm(HighwayConfig config, const Fidelity& fidelity);
-sim::BinnedRate run_intra_area_arm(HighwayConfig config, const Fidelity& fidelity);
 
 }  // namespace vgr::scenario

@@ -232,11 +232,12 @@ void HighwayScenario::spawn_station(traffic::Vehicle& v) {
 
 void HighwayScenario::harvest_station_stats(const gn::Router& router) {
   const gn::RouterStats& s = router.stats();
-  ingest_drop_totals_ += s.ingest_decode_failures + s.ingest_invalid_pv + s.ingest_invalid_rhl +
-                         s.ingest_invalid_lifetime + s.ingest_oversized_payload;
+  counters_.ingest_drops += s.ingest_decode_failures + s.ingest_invalid_pv +
+                           s.ingest_invalid_rhl + s.ingest_invalid_lifetime +
+                           s.ingest_oversized_payload;
   if (const phy::Mac* mac = router.mac_layer()) {
-    mac_totals_.add(mac->stats());
-    peak_cbr_ = std::max(peak_cbr_, mac->dcc().peak_cbr());
+    counters_.mac.add(mac->stats());
+    counters_.peak_cbr = std::max(counters_.peak_cbr, mac->dcc().peak_cbr());
   }
 }
 
@@ -279,7 +280,7 @@ void HighwayScenario::crash_random_station() {
   harvest_station_stats(*st.router);
   st.router->shutdown();
   st.router.reset();
-  ++churn_crashes_;
+  ++counters_.churn_crashes;
 
   if (config_.churn.reboot_probability > 0.0 &&
       churn_rng_.bernoulli(config_.churn.reboot_probability)) {
@@ -298,7 +299,7 @@ void HighwayScenario::reboot_station(traffic::VehicleId vid) {
   // scenario_churn_test; churn off = stream untouched.
   // vgr-lint: rng-stream-ok (audited interleaved churn stream, see note above)
   install_vehicle_router(vid, it->second, churn_rng_.fork(), /*rebooted=*/true);
-  ++churn_reboots_;
+  ++counters_.churn_reboots;
 }
 
 geo::GeoArea HighwayScenario::destination_area(traffic::Direction dir) const {
@@ -394,7 +395,19 @@ InterAreaResult HighwayScenario::run_inter_area() {
     interceptor_ = std::make_unique<attack::InterAreaInterceptor>(
         events_, *medium_, geo::Position{config_.resolved_attacker_x(), config_.attacker_y_m},
         config_.attack_range_m);
-  } else if (config_.attack == AttackKind::kCongestionFlood) {
+  }
+
+  InterAreaResult result;
+  run_to_horizon(&HighwayScenario::schedule_inter_area_workload, result);
+  result.packets = std::move(inter_records_);
+  result.horizon = config_.sim_duration;
+  if (interceptor_) result.beacons_replayed = interceptor_->beacons_replayed();
+  return result;
+}
+
+void HighwayScenario::run_to_horizon(void (HighwayScenario::*schedule_workload)(),
+                                     RunCounters& out) {
+  if (config_.attack == AttackKind::kCongestionFlood) {
     flooder_ = std::make_unique<attack::CongestionFlooder>(
         events_, *medium_, geo::Position{config_.resolved_attacker_x(), config_.attacker_y_m},
         config_.attack_range_m,
@@ -403,7 +416,7 @@ InterAreaResult HighwayScenario::run_inter_area() {
 
   traffic_->prefill();
   traffic_->run_on(events_, sim::TimePoint::at(config_.sim_duration));
-  schedule_inter_area_workload();
+  (this->*schedule_workload)();
   schedule_churn();
   events_.set_run_budget(config_.run_max_events, config_.run_wall_budget_s);
   events_.run_until(sim::TimePoint::at(config_.sim_duration));
@@ -419,19 +432,10 @@ InterAreaResult HighwayScenario::run_inter_area() {
   if (east_destination_.router) harvest_station_stats(*east_destination_.router);
   if (west_destination_.router) harvest_station_stats(*west_destination_.router);
 
-  InterAreaResult result;
-  result.packets = std::move(inter_records_);
-  result.horizon = config_.sim_duration;
-  if (interceptor_) result.beacons_replayed = interceptor_->beacons_replayed();
-  result.churn_crashes = churn_crashes_;
-  result.churn_reboots = churn_reboots_;
-  result.mac = mac_totals_;
-  result.peak_cbr = peak_cbr_;
-  result.ingest_drops = ingest_drop_totals_;
-  if (flooder_) result.frames_flooded = flooder_->frames_flooded();
-  result.timed_out = events_.budget_exceeded();
-  result.timed_out_cause = events_.budget_trip();
-  return result;
+  if (flooder_) counters_.frames_flooded = flooder_->frames_flooded();
+  counters_.timed_out = events_.budget_exceeded();
+  counters_.timed_out_cause = events_.budget_trip();
+  out = counters_;
 }
 
 void HighwayScenario::schedule_intra_area_workload() {
@@ -494,38 +498,13 @@ IntraAreaResult HighwayScenario::run_intra_area() {
     blocker_ = std::make_unique<attack::IntraAreaBlocker>(
         events_, *medium_, geo::Position{config_.resolved_attacker_x(), config_.attacker_y_m},
         config_.attack_range_m, config_.blocker);
-  } else if (config_.attack == AttackKind::kCongestionFlood) {
-    flooder_ = std::make_unique<attack::CongestionFlooder>(
-        events_, *medium_, geo::Position{config_.resolved_attacker_x(), config_.attacker_y_m},
-        config_.attack_range_m,
-        attack::CongestionFlooder::Config{config_.flood_rate_hz, 16, true});
   }
-
-  traffic_->prefill();
-  traffic_->run_on(events_, sim::TimePoint::at(config_.sim_duration));
-  schedule_intra_area_workload();
-  schedule_churn();
-  events_.set_run_budget(config_.run_max_events, config_.run_wall_budget_s);
-  events_.run_until(sim::TimePoint::at(config_.sim_duration));
-
-  // vgr-lint: begin ordered-ok (integer sums and max are order-independent)
-  for (const auto& [vid, st] : stations_) {
-    if (st.router) harvest_station_stats(*st.router);
-  }
-  // vgr-lint: end
 
   IntraAreaResult result;
+  run_to_horizon(&HighwayScenario::schedule_intra_area_workload, result);
   result.floods = std::move(flood_records_);
   result.horizon = config_.sim_duration;
   if (blocker_) result.packets_replayed = blocker_->packets_replayed();
-  result.churn_crashes = churn_crashes_;
-  result.churn_reboots = churn_reboots_;
-  result.mac = mac_totals_;
-  result.peak_cbr = peak_cbr_;
-  result.ingest_drops = ingest_drop_totals_;
-  if (flooder_) result.frames_flooded = flooder_->frames_flooded();
-  result.timed_out = events_.budget_exceeded();
-  result.timed_out_cause = events_.budget_trip();
   return result;
 }
 

@@ -142,13 +142,11 @@ struct InterAreaPacketRecord {
   sim::TimePoint received_at{};  ///< valid when `received`
 };
 
-struct InterAreaResult {
-  std::vector<InterAreaPacketRecord> packets;
-  sim::Duration horizon{};
-  std::uint64_t beacons_replayed{0};
-  std::uint64_t auth_failures{0};
-  std::uint64_t churn_crashes{0};
-  std::uint64_t churn_reboots{0};
+/// The counters every run reports, whatever its experiment: filled by the
+/// run from its stations and attackers, and folded into A/B arm totals by
+/// AbResult::ArmTotals (vgr/scenario/ab_runner), which lists the fields the
+/// sweep journal carries.
+struct RunCounters {
   /// MAC-plane counters aggregated over every honest station of the run
   /// (vehicles incl. crashed ones, destinations). All zero with the MAC
   /// layer off.
@@ -159,10 +157,19 @@ struct InterAreaResult {
   std::uint64_t ingest_drops{0};
   /// Congestion-flood replays (kCongestionFlood runs only).
   std::uint64_t frames_flooded{0};
+  std::uint64_t churn_crashes{0};
+  std::uint64_t churn_reboots{0};
   /// The run tripped the per-run watchdog and stopped before its horizon.
   bool timed_out{false};
   /// Which budget bound tripped (kNone unless `timed_out`).
   sim::BudgetTrip timed_out_cause{sim::BudgetTrip::kNone};
+};
+
+struct InterAreaResult : RunCounters {
+  std::vector<InterAreaPacketRecord> packets;
+  sim::Duration horizon{};
+  std::uint64_t beacons_replayed{0};
+  std::uint64_t auth_failures{0};
 
   [[nodiscard]] double overall_reception() const;
   [[nodiscard]] sim::BinnedRate binned(
@@ -181,22 +188,10 @@ struct IntraAreaFloodRecord {
   sim::TimePoint last_reach_at{};  ///< time of the flood's final delivery
 };
 
-struct IntraAreaResult {
+struct IntraAreaResult : RunCounters {
   std::vector<IntraAreaFloodRecord> floods;
   sim::Duration horizon{};
   std::uint64_t packets_replayed{0};
-  std::uint64_t churn_crashes{0};
-  std::uint64_t churn_reboots{0};
-  /// MAC-plane counters aggregated over every honest station (see
-  /// InterAreaResult::mac).
-  phy::MacStats mac{};
-  double peak_cbr{0.0};
-  std::uint64_t ingest_drops{0};
-  std::uint64_t frames_flooded{0};
-  /// The run tripped the per-run watchdog and stopped before its horizon.
-  bool timed_out{false};
-  /// Which budget bound tripped (kNone unless `timed_out`).
-  sim::BudgetTrip timed_out_cause{sim::BudgetTrip::kNone};
 
   [[nodiscard]] double overall_reception() const;
   [[nodiscard]] sim::BinnedRate binned(
@@ -234,12 +229,15 @@ class HighwayScenario {
   [[nodiscard]] std::size_t stations_created() const { return stations_created_; }
   [[nodiscard]] const HighwayConfig& config() const { return config_; }
 
-  [[nodiscard]] std::uint64_t churn_crashes() const { return churn_crashes_; }
-  [[nodiscard]] std::uint64_t churn_reboots() const { return churn_reboots_; }
-
  private:
   void spawn_station(traffic::Vehicle& v);
   void destroy_station(traffic::Vehicle& v);
+  /// The part of a run both experiments share, called once the
+  /// experiment's destinations and attacker are in place: the congestion
+  /// flooder (if configured), traffic, `schedule_workload`, churn and the
+  /// watchdog, then the run to the horizon. Fills `out` with the run's
+  /// counters.
+  void run_to_horizon(void (HighwayScenario::*schedule_workload)(), RunCounters& out);
   /// Folds a router's MAC/ingest counters into the run totals. Stations
   /// come and go mid-run (exit, crash), so totals accumulate at teardown
   /// and the run end sweeps whoever is left.
@@ -278,8 +276,6 @@ class HighwayScenario {
 
   std::unordered_map<traffic::VehicleId, Station> stations_;
   std::size_t stations_created_{0};
-  std::uint64_t churn_crashes_{0};
-  std::uint64_t churn_reboots_{0};
 
   // Static destination stations (inter-area mode).
   Station east_destination_;
@@ -289,10 +285,9 @@ class HighwayScenario {
   std::unique_ptr<attack::IntraAreaBlocker> blocker_;
   std::unique_ptr<attack::CongestionFlooder> flooder_;
 
-  /// Run-wide MAC/ingest totals (see harvest_station_stats).
-  phy::MacStats mac_totals_{};
-  double peak_cbr_{0.0};
-  std::uint64_t ingest_drop_totals_{0};
+  /// Run-wide counters: MAC/ingest totals (see harvest_station_stats) and
+  /// churn events; the watchdog fields are filled at the end of the run.
+  RunCounters counters_{};
 
   // Workload bookkeeping.
   std::uint64_t next_packet_id_{1};

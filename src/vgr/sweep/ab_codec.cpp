@@ -26,7 +26,7 @@ void append_totals(std::string& out, const char* key, const AbResult::ArmTotals&
   out += "\"";
   out += key;
   out += "\":{";
-  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto) {
+  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto, auto) {
     out += out.back() == '{' ? "\"" : ",\"";
     out += name;
     out += "\":";
@@ -59,7 +59,7 @@ bool read_bins(const JsonValue& root, const char* key, sim::BinnedRate& bins, bo
 bool read_totals(const JsonValue& root, const char* key, AbResult::ArmTotals& t) {
   const JsonValue* obj = root.find(key);
   if (obj == nullptr || obj->kind != JsonValue::Kind::kObject) return false;
-  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto) {
+  AbResult::ArmTotals::for_each_counter([&](const char* name, auto member, auto, auto) {
     if constexpr (std::is_same_v<std::decay_t<decltype(t.*member)>, double>) {
       t.*member = obj->num(name);
     } else {
@@ -153,40 +153,14 @@ std::optional<AbResult> merge_ab_payloads(const std::vector<std::string>& payloa
     if (!shard.has_value()) return std::nullopt;
     if (!merged.has_value()) {
       merged = std::move(shard);
-      continue;
-    }
-    if (shard->baseline.bin_count() != merged->baseline.bin_count() ||
-        shard->baseline.bin_width() != merged->baseline.bin_width()) {
+    } else if (shard->baseline.bin_count() != merged->baseline.bin_count() ||
+               shard->baseline.bin_width() != merged->baseline.bin_width()) {
       return std::nullopt;
+    } else {
+      merged->merge(*shard);
     }
-    merged->baseline.merge(shard->baseline);
-    merged->attacked.merge(shard->attacked);
-    merged->baseline_totals.merge(shard->baseline_totals);
-    merged->attacked_totals.merge(shard->attacked_totals);
-    merged->reception_base_hits += shard->reception_base_hits;
-    merged->reception_base_trials += shard->reception_base_trials;
-    merged->reception_atk_hits += shard->reception_atk_hits;
-    merged->reception_atk_trials += shard->reception_atk_trials;
-    merged->runs += shard->runs;
-    merged->timed_out_runs += shard->timed_out_runs;
-    merged->timed_out_events += shard->timed_out_events;
-    merged->timed_out_wall += shard->timed_out_wall;
   }
-  if (!merged.has_value() || payloads.size() == 1) return merged;
-
-  // Re-derive the rates the way ab_runner does once all shards are in.
-  merged->attack_rate = sim::BinnedRate::average_drop(merged->baseline, merged->attacked);
-  if (merged->reception_base_trials > 0.0) {
-    // Inter-area: packet-weighted run averages.
-    merged->baseline_reception = merged->reception_base_hits / merged->reception_base_trials;
-    merged->attacked_reception = merged->reception_atk_trials > 0.0
-                                     ? merged->reception_atk_hits / merged->reception_atk_trials
-                                     : 0.0;
-  } else {
-    // Intra-area: overall rate of the merged bins.
-    merged->baseline_reception = merged->baseline.overall();
-    merged->attacked_reception = merged->attacked.overall();
-  }
+  if (merged.has_value()) merged->finish();
   return merged;
 }
 

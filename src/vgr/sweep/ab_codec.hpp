@@ -20,12 +20,11 @@ std::string encode_ab(const scenario::AbResult& result);
 std::optional<scenario::AbResult> decode_ab(std::string_view payload);
 
 /// Reassembles one sweep point from its seed-range shard payloads, in
-/// shard order. A single payload is decoded verbatim (a one-chunk
-/// supervised point is bit-identical to the monolithic run); multiple
-/// payloads merge bins and totals, then recompute the derived rates
-/// (attack_rate, receptions) the same way ab_runner does. Shards that
-/// failed to decode or were quarantined must be dropped by the caller
-/// first; an empty list yields nullopt.
+/// shard order: the same AbResult::merge and AbResult::finish the A/B
+/// runner folds its runs with, so a one-chunk supervised point is
+/// bit-identical to the monolithic run. Shards that failed to decode or
+/// were quarantined must be dropped by the caller first; an empty list
+/// yields nullopt.
 std::optional<scenario::AbResult> merge_ab_payloads(
     const std::vector<std::string>& payloads);
 

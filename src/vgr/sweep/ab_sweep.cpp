@@ -29,25 +29,21 @@ AbResult run_point(Experiment experiment, const HighwayConfig& config,
              : scenario::run_intra_area_ab(config, fidelity);
 }
 
-/// All-zero result with the point's bin geometry, for fully-missing points.
-AbResult empty_point(const HighwayConfig& config, const Fidelity& fidelity) {
-  const sim::Duration bin = sim::Duration::seconds(5.0);  // ab_runner's kBin
-  sim::Duration horizon = config.sim_duration;
-  if (fidelity.sim_seconds > 0.0) horizon = sim::Duration::seconds(fidelity.sim_seconds);
-  return AbResult{sim::BinnedRate{bin, horizon}, sim::BinnedRate{bin, horizon}};
-}
-
 }  // namespace
 
 std::string shard_key(const std::string& label, Experiment experiment,
                       const Fidelity& fidelity, std::uint64_t first_run,
                       std::uint64_t runs) {
-  char params[160];
-  std::snprintf(params, sizeof params, "exp=%d;runs=%llu;sim=%.17g;events=%llu;wall=%.17g",
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "exp=%d;runs=%llu;sim=%.17g;events=%llu;wall=%.17g",
                 experiment == Experiment::kInterArea ? 0 : 1,
                 static_cast<unsigned long long>(fidelity.runs), fidelity.sim_seconds,
                 static_cast<unsigned long long>(fidelity.run_max_events),
                 fidelity.run_wall_budget_s);
+  std::string params = buf;
+  // The channel model: knob-set run fields. None set keeps the historical
+  // key, so journals written before the knobs were keyed still resume.
+  if (!fidelity.overrides.settings.empty()) params += ";knobs=" + fidelity.overrides.settings;
   char suffix[96];
   std::snprintf(suffix, sizeof suffix, "#s%llu+%llu@%016llx",
                 static_cast<unsigned long long>(first_run),
@@ -67,7 +63,7 @@ SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
   std::uint64_t chunk = supervisor.config().seed_chunk;
   if (chunk == 0 || chunk > total_runs) chunk = total_runs;
 
-  SupervisedAb out{empty_point(config, fidelity), 0, 0};
+  SupervisedAb out{scenario::empty_ab_result(config, fidelity), 0, 0};
   std::vector<std::string> payloads;
   for (std::uint64_t first = 0; first < total_runs; first += chunk) {
     const std::uint64_t shard_runs = std::min(chunk, total_runs - first);

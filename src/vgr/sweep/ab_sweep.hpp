@@ -26,8 +26,10 @@ struct SupervisedAb {
 /// Stable journal key for one seed-range shard of a labelled sweep point.
 /// The label carries the human-readable point identity ("loss-0.050-plain");
 /// the suffix pins the seed range and an fnv1a-64 fingerprint of the
-/// execution parameters, so a journal written under one fidelity cannot be
-/// silently replayed into a sweep running under another.
+/// execution parameters (runs, horizon, watchdog budgets and the knob-set
+/// run fields of `Fidelity::overrides`), so a journal written under one
+/// fidelity or channel model cannot be silently replayed into a sweep
+/// running under another.
 std::string shard_key(const std::string& label, Experiment experiment,
                       const scenario::Fidelity& fidelity, std::uint64_t first_run,
                       std::uint64_t runs);

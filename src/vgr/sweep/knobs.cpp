@@ -185,6 +185,19 @@ bool parse(const Knob& knob, const char* text, Value& v) {
   return true;
 }
 
+/// Appends `NAME=value;` to `out`, printing the parsed value so that equal
+/// settings spelled differently ("0.2", "0.20") read the same.
+void append_setting(std::string& out, const Knob& knob, const Value& v) {
+  char buf[96];
+  if (knob.kind == kReal) {
+    std::snprintf(buf, sizeof buf, "%s=%.17g;", knob.name, v.real);
+  } else {
+    std::snprintf(buf, sizeof buf, "%s=%lld;", knob.name,
+                  knob.kind == kBool ? static_cast<long long>(v.integer != 0) : v.integer);
+  }
+  out += buf;
+}
+
 }  // namespace
 
 KnobSpec parse_knobs(const char* const* envp, std::uint64_t default_runs) {
@@ -193,7 +206,11 @@ KnobSpec parse_knobs(const char* const* envp, std::uint64_t default_runs) {
   for (const Knob& knob : kKnobs) {
     const char* text = lookup(envp, knob.name);
     Value v;
-    if (text != nullptr && parse(knob, text, v)) knob.store(spec, v);
+    if (text == nullptr || !parse(knob, text, v)) continue;
+    scenario::ConfigOverrides& run_rows = spec.fidelity.overrides;
+    const std::size_t set_before = run_rows.fields.size();
+    knob.store(spec, v);
+    if (run_rows.fields.size() > set_before) append_setting(run_rows.settings, knob, v);
   }
   return spec;
 }

@@ -1,6 +1,5 @@
 #include "vgr/sweep/resilience_sweep.hpp"
 
-#include <cstdint>
 #include <cstdio>
 
 #include "vgr/mitigation/profiles.hpp"
@@ -74,15 +73,13 @@ Row run_point(Supervisor& sup, const HighwayConfig& cfg, const Fidelity& fidelit
 
 /// One point of the congestion sweep: the same flooder rate against a
 /// MAC-enabled fleet with DCC off vs on. `recv_*` are honest (attacked-arm)
-/// delivery rates; the counters are summed over every attacked run.
+/// delivery rates; `off`/`on` are the attacked arms' totals over every run.
 struct CongestionRow {
   double flood_hz;
   double recv_off;  // honest delivery, CSMA only
   double recv_on;   // honest delivery, CSMA + reactive DCC
-  std::uint64_t retry_off, overflow_off;
-  std::uint64_t retry_on, overflow_on, gated_on;
-  double cbr_off, cbr_on;  // peak channel-busy ratio seen by any station
-  std::uint64_t frames_flooded;
+  AbResult::ArmTotals off;
+  AbResult::ArmTotals on;
 };
 
 CongestionRow run_congestion_point(Supervisor& sup, const HighwayConfig& base,
@@ -110,31 +107,25 @@ CongestionRow run_congestion_point(Supervisor& sup, const HighwayConfig& base,
   const AbResult off =
       run_ab_supervised(sup, Experiment::kInterArea, label + "-dccoff", cfg, fidelity).result;
   row.recv_off = off.attacked_reception;
-  row.retry_off = off.attacked_totals.mac_retry_exhausted;
-  row.overflow_off = off.attacked_totals.mac_queue_overflow;
-  row.cbr_off = off.attacked_totals.peak_cbr;
+  row.off = off.attacked_totals;
 
   cfg.dcc.enabled = true;
   const AbResult on =
       run_ab_supervised(sup, Experiment::kInterArea, label + "-dccon", cfg, fidelity).result;
   row.recv_on = on.attacked_reception;
-  row.retry_on = on.attacked_totals.mac_retry_exhausted;
-  row.overflow_on = on.attacked_totals.mac_queue_overflow;
-  row.gated_on = on.attacked_totals.mac_dcc_gated;
-  row.cbr_on = on.attacked_totals.peak_cbr;
-  row.frames_flooded = on.attacked_totals.frames_flooded;
+  row.on = on.attacked_totals;
   return row;
 }
 
 void print_congestion_row(const CongestionRow& r) {
   std::printf("  flood %7.0f Hz  dcc-off: recv=%6.3f cbr=%.2f retry=%llu ovfl=%llu   "
               "dcc-on: recv=%6.3f cbr=%.2f retry=%llu ovfl=%llu gated=%llu\n",
-              r.flood_hz, r.recv_off, r.cbr_off,
-              static_cast<unsigned long long>(r.retry_off),
-              static_cast<unsigned long long>(r.overflow_off), r.recv_on, r.cbr_on,
-              static_cast<unsigned long long>(r.retry_on),
-              static_cast<unsigned long long>(r.overflow_on),
-              static_cast<unsigned long long>(r.gated_on));
+              r.flood_hz, r.recv_off, r.off.peak_cbr,
+              static_cast<unsigned long long>(r.off.mac_retry_exhausted),
+              static_cast<unsigned long long>(r.off.mac_queue_overflow), r.recv_on,
+              r.on.peak_cbr, static_cast<unsigned long long>(r.on.mac_retry_exhausted),
+              static_cast<unsigned long long>(r.on.mac_queue_overflow),
+              static_cast<unsigned long long>(r.on.mac_dcc_gated));
 }
 
 void print_row(const Row& r) {
@@ -229,13 +220,13 @@ int run_resilience_sweep(Supervisor& sup, Fidelity f, const ResilienceSelection&
                  "\"retry_exhausted_off\": %llu, \"queue_overflow_off\": %llu, "
                  "\"retry_exhausted_on\": %llu, \"queue_overflow_on\": %llu, "
                  "\"dcc_gated_on\": %llu, \"frames_flooded\": %llu}%s\n",
-                 r.flood_hz, r.recv_off, r.recv_on, r.cbr_off, r.cbr_on,
-                 static_cast<unsigned long long>(r.retry_off),
-                 static_cast<unsigned long long>(r.overflow_off),
-                 static_cast<unsigned long long>(r.retry_on),
-                 static_cast<unsigned long long>(r.overflow_on),
-                 static_cast<unsigned long long>(r.gated_on),
-                 static_cast<unsigned long long>(r.frames_flooded),
+                 r.flood_hz, r.recv_off, r.recv_on, r.off.peak_cbr, r.on.peak_cbr,
+                 static_cast<unsigned long long>(r.off.mac_retry_exhausted),
+                 static_cast<unsigned long long>(r.off.mac_queue_overflow),
+                 static_cast<unsigned long long>(r.on.mac_retry_exhausted),
+                 static_cast<unsigned long long>(r.on.mac_queue_overflow),
+                 static_cast<unsigned long long>(r.on.mac_dcc_gated),
+                 static_cast<unsigned long long>(r.on.frames_flooded),
                  i + 1 < congestion.size() ? "," : "");
   }
   const SweepCounters& c = sup.counters();

@@ -62,17 +62,6 @@ TEST(ParallelHarness, IntraAreaSerialAndParallelAreBitIdentical) {
   EXPECT_GT(serial.baseline_reception, 0.0);
 }
 
-TEST(ParallelHarness, SingleArmHelpersAreBitIdentical) {
-  HighwayConfig cfg = quick_config(AttackKind::kInterArea);
-  const sim::BinnedRate serial = run_inter_area_arm(cfg, with_threads(1));
-  const sim::BinnedRate parallel = run_inter_area_arm(cfg, with_threads(4));
-  ASSERT_EQ(serial.bin_count(), parallel.bin_count());
-  for (std::size_t i = 0; i < serial.bin_count(); ++i) {
-    EXPECT_EQ(serial.rate(i), parallel.rate(i)) << "bin " << i;
-  }
-  EXPECT_EQ(serial.overall(), parallel.overall());
-}
-
 TEST(ParallelHarness, MacDccCongestionArmIsBitIdentical) {
   // The contention layer runs entirely inside each run's event loop with a
   // private RNG stream, so a MAC+DCC fleet under the congestion flooder is

@@ -11,6 +11,7 @@
 
 #include "vgr/sweep/ab_codec.hpp"
 #include "vgr/sweep/ab_sweep.hpp"
+#include "vgr/sweep/knobs.hpp"
 
 namespace vgr::sweep {
 namespace {
@@ -306,6 +307,50 @@ TEST(AbCodec, EncodeDecodeIsExact) {
   EXPECT_FALSE(decode_ab("not json").has_value());
 }
 
+TEST(AbCodec, PayloadBytesArePinned) {
+  // Journals outlive binaries: a payload written by an older build must
+  // decode to the same result. Key names, key order and number formatting
+  // are pinned byte for byte.
+  const sim::Duration bin = sim::Duration::seconds(5.0);
+  const sim::Duration horizon = sim::Duration::seconds(10.0);
+  AbResult r{sim::BinnedRate{bin, horizon}, sim::BinnedRate{bin, horizon}};
+  r.baseline.set_bin(0, 9.0, 10.0);
+  r.baseline.set_bin(1, 7.0, 8.0);
+  r.attacked.set_bin(0, 3.0, 10.0);
+  r.attacked.set_bin(1, 2.0, 8.0);
+  r.attack_rate = 0.6587301587301587;
+  r.baseline_reception = 16.0 / 18.0;
+  r.attacked_reception = 5.0 / 18.0;
+  r.reception_base_hits = 16.0;
+  r.reception_base_trials = 18.0;
+  r.reception_atk_hits = 5.0;
+  r.reception_atk_trials = 18.0;
+  r.runs = 2;
+  r.timed_out_runs = 1;
+  r.timed_out_events = 1;
+  r.timed_out_wall = 1;
+  r.baseline_totals = {1, 2, 3, 4, 5, 6, 0, 0.1};
+  r.attacked_totals = {7, 8, 9, 10, 11, 12, 13, 0.6875};
+  const std::string golden =
+      "{\"bin_ns\":5000000000,\"bins\":2,\"base_hits\":[9,7],\"base_trials\":[10,8],"
+      "\"atk_hits\":[3,2],\"atk_trials\":[10,8],\"attack_rate\":0.65873015873015872,"
+      "\"baseline_reception\":0.88888888888888884,"
+      "\"attacked_reception\":0.27777777777777779,\"rec_base_hits\":16,"
+      "\"rec_base_trials\":18,\"rec_atk_hits\":5,\"rec_atk_trials\":18,\"runs\":2,"
+      "\"timed_out_runs\":1,\"timed_out_events\":1,\"timed_out_wall\":1,"
+      "\"baseline_totals\":{\"mac_queue_overflow\":1,\"mac_retry_exhausted\":2,"
+      "\"mac_dcc_gated\":3,\"mac_backoff_retries\":4,\"mac_transmitted\":5,"
+      "\"ingest_drops\":6,\"frames_flooded\":0,\"peak_cbr\":0.10000000000000001},"
+      "\"attacked_totals\":{\"mac_queue_overflow\":7,\"mac_retry_exhausted\":8,"
+      "\"mac_dcc_gated\":9,\"mac_backoff_retries\":10,\"mac_transmitted\":11,"
+      "\"ingest_drops\":12,\"frames_flooded\":13,\"peak_cbr\":0.6875}}";
+  EXPECT_EQ(encode_ab(r), golden);
+  const auto decoded = decode_ab(golden);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(ab_equal(r, *decoded));
+  EXPECT_EQ(encode_ab(*decoded), golden);
+}
+
 TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
   const std::string journal = temp_journal("onechunk");
   cleanup(journal);
@@ -325,25 +370,32 @@ TEST(AbSweep, SupervisedSingleChunkMatchesDirectRunExactly) {
 }
 
 TEST(AbSweep, SeedChunkedShardsMergeToTheMonolithicResult) {
-  const std::string journal = temp_journal("chunked");
-  cleanup(journal);
-  HighwayConfig cfg;
-  cfg.attack = scenario::AttackKind::kInterArea;
-  const Fidelity f = small_fidelity(/*runs=*/4);
-  const AbResult direct = scenario::run_inter_area_ab(cfg, f);
+  // Both experiments: inter-area receptions merge from the packet-weighted
+  // accumulators, intra-area ones are re-derived from the merged bins.
+  for (const Experiment experiment : {Experiment::kInterArea, Experiment::kIntraArea}) {
+    const bool inter = experiment == Experiment::kInterArea;
+    SCOPED_TRACE(inter ? "inter-area" : "intra-area");
+    const std::string journal = temp_journal(inter ? "chunked_inter" : "chunked_intra");
+    cleanup(journal);
+    HighwayConfig cfg;
+    cfg.attack = inter ? scenario::AttackKind::kInterArea : scenario::AttackKind::kIntraArea;
+    const Fidelity f = small_fidelity(/*runs=*/4);
+    const AbResult direct = inter ? scenario::run_inter_area_ab(cfg, f)
+                                  : scenario::run_intra_area_ab(cfg, f);
 
-  SupervisorConfig config = test_config(journal);
-  config.seed_chunk = 1;  // one seed per shard
-  Supervisor sup{config};
-  ASSERT_TRUE(sup.ok());
-  const SupervisedAb supervised =
-      run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
-  EXPECT_EQ(supervised.shards, 4u);
-  EXPECT_TRUE(supervised.complete());
-  // Bin accumulators are sums of per-run integer counts, so the chunked
-  // merge is exact, not merely close.
-  EXPECT_TRUE(ab_equal(direct, supervised.result));
-  cleanup(journal);
+    SupervisorConfig config = test_config(journal);
+    config.seed_chunk = 1;  // one seed per shard
+    Supervisor sup{config};
+    ASSERT_TRUE(sup.ok());
+    const SupervisedAb supervised = run_ab_supervised(sup, experiment, "pt", cfg, f);
+    EXPECT_EQ(supervised.shards, 4u);
+    EXPECT_TRUE(supervised.complete());
+    // Bin accumulators are sums of per-run integer counts, so the chunked
+    // merge is exact, not merely close.
+    EXPECT_TRUE(ab_equal(direct, supervised.result));
+    EXPECT_GT(supervised.result.baseline_reception, 0.0);
+    cleanup(journal);
+  }
 }
 
 TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
@@ -390,6 +442,23 @@ TEST(AbSweep, ShardKeyPinsLabelSeedsAndFidelity) {
   Fidelity g = f;
   g.sim_seconds = 4.0;
   EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 0, 4));  // fidelity
+  // Run knobs change the channel model, so they change the key; no run knob
+  // set keeps the historical key, which existing journals were written under.
+  const auto with_env = [&f](const char* entry) {
+    const char* const envp[] = {entry, nullptr};
+    Fidelity h = f;
+    h.overrides = parse_knobs(envp).fidelity.overrides;
+    return h;
+  };
+  EXPECT_EQ(a, "pt#s0+4@54d32ad26d19bb2a");
+  EXPECT_EQ(a, shard_key("pt", Experiment::kInterArea, with_env("VGR_SWEEP=1"), 0, 4));
+  const std::string mac = shard_key("pt", Experiment::kInterArea, with_env("VGR_MAC=1"), 0, 4);
+  const std::string drop =
+      shard_key("pt", Experiment::kInterArea, with_env("VGR_FAULT_DROP=0.2"), 0, 4);
+  EXPECT_NE(a, mac);
+  EXPECT_NE(a, drop);
+  EXPECT_NE(mac, drop);
+  EXPECT_EQ(drop, shard_key("pt", Experiment::kInterArea, with_env("VGR_FAULT_DROP=0.20"), 0, 4));
 }
 
 }  // namespace
