@@ -22,8 +22,8 @@ struct RouterConfig {
   sim::Duration beacon_interval{sim::Duration::seconds(3.0)};
   sim::Duration beacon_jitter{sim::Duration::seconds(0.75)};
   /// ETSI §8.3: any transmitted GN packet restarts the beacon timer — a
-  /// station whose CAMs/forwards already advertise its PV sends no extra
-  /// beacons. Disable to force fixed-cadence beaconing regardless of
+  /// station whose own packets and forwards already advertise its PV sends
+  /// no extra beacons. Disable to force fixed-cadence beaconing regardless of
   /// traffic.
   bool beacon_suppression_on_activity{true};
 
@@ -61,12 +61,6 @@ struct RouterConfig {
   // --- Greedy forwarding.
   GfFallback gf_fallback{GfFallback::kBuffer};
   sim::Duration gf_retry_interval{sim::Duration::millis(500)};
-
-  // --- Location service (ETSI §10.2.2), used by GeoUnicast when the
-  //     destination's position is unknown.
-  std::uint8_t ls_hop_limit{10};
-  sim::Duration ls_retry_interval{sim::Duration::seconds(1.0)};
-  int ls_max_retries{3};
 
   // --- ACK'd forwarding (extension). The paper's §V-A dismisses per-hop
   //     acknowledgements as costly; enabling this quantifies that claim:

@@ -216,13 +216,6 @@ std::optional<LocTableEntry> LocationTable::find_by_mac(net::MacAddress mac,
   return entry_at(best);
 }
 
-void LocationTable::for_each(sim::TimePoint now,
-                             const std::function<void(const LocTableEntry&)>& visit) const {
-  for (std::size_t row = 0; row < addr_.size(); ++row) {
-    if (now < pv_[row].expiry) visit(entry_at(row));
-  }
-}
-
 void LocationTable::purge(sim::TimePoint now) {
   // Backwards so a swap-remove only ever moves an already-visited row.
   for (std::size_t row = addr_.size(); row-- > 0;) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -67,13 +66,6 @@ class LocationTable {
   /// the previous sender from the frame's link-layer source).
   [[nodiscard]] std::optional<LocTableEntry> find_by_mac(net::MacAddress mac,
                                                          sim::TimePoint now) const;
-
-  /// Visits every live entry. Visitation is in dense-row order (insertion
-  /// order perturbed by swap-removes): callers that derive a decision from
-  /// the walk must be order-insensitive, exactly as under the old hash
-  /// order.
-  void for_each(sim::TimePoint now,
-                const std::function<void(const LocTableEntry&)>& visit) const;
 
   /// The position-vector payload plus expiry of one row, packed so an
   /// update() refresh reads and writes one or two cache lines instead of

@@ -100,13 +100,12 @@ void Router::start() {
 void Router::shutdown() {
   if (!running_) return;
   running_ = false;
-  // Every router-owned timer (beacon, GF retry, monitor sweep, LS retries,
-  // ACK/retransmission timers) lives in one cancellation cohort: a single
+  // Every router-owned timer (beacon, GF retry, monitor sweep, ACK and
+  // retransmission timers) lives in one cancellation cohort: a single
   // generation bump retires them all, instead of walking the pending maps
   // tombstoning timers one by one. cbf_.clear() does the same for the CBF
   // contention timers via the buffer's own cohort.
   events_.cancel_cohort(timers_);
-  ls_pending_.clear();
   ack_pending_.clear();
   cbf_.clear();
   scf_.clear();
@@ -210,128 +209,6 @@ net::SequenceNumber Router::send_geo_unicast(net::GnAddress destination,
   ++stats_.guc_originated;
   gf_route(security::share(security::SecuredMessage::sign(p, signer_)), dest_pos,
            /*allow_buffer=*/true);
-  return sn;
-}
-
-net::SequenceNumber Router::send_geo_anycast(const geo::GeoArea& area, net::Bytes payload,
-                                             std::optional<std::uint8_t> hop_limit,
-                                             std::optional<sim::Duration> lifetime) {
-  assert(running_);
-  const std::uint8_t hops = hop_limit.value_or(config_.default_hop_limit);
-  net::Packet p;
-  p.basic.remaining_hop_limit = hops;
-  p.basic.lifetime = lifetime.value_or(config_.default_lifetime);
-  p.common.type = net::CommonHeader::HeaderType::kGeoAnycast;
-  p.common.max_hop_limit = hops;
-  p.extended = net::GacHeader{next_sequence_, self_pv(), area};
-  p.payload = std::move(payload);
-  const net::SequenceNumber sn = next_sequence_++;
-  duplicates_.check_and_record(p);
-  ++stats_.gbc_originated;  // anycast shares the geo-addressed counter
-  // A source already inside the area trivially satisfies "any one station".
-  if (!area.contains(mobility_.position())) {
-    gf_route(security::share(security::SecuredMessage::sign(p, signer_)), area.center(),
-             /*allow_buffer=*/true);
-  }
-  return sn;
-}
-
-void Router::handle_gac(const security::SecuredMessagePtr& msg, const phy::Frame& frame) {
-  const net::Packet& p = msg->packet();
-  if (duplicates_.check_and_record(p, frame.src)) {
-    ++stats_.duplicates;
-    return;
-  }
-  const net::GacHeader& gac = *p.gac();
-  if (gac.area.contains(mobility_.position())) {
-    // First station inside the area consumes the packet — no flooding.
-    deliver(msg, frame.src);
-    return;
-  }
-  const std::uint8_t received_rhl = p.basic.remaining_hop_limit;
-  if (received_rhl <= 1) {
-    ++stats_.rhl_exhausted;
-    return;
-  }
-  gf_route(security::share(msg->with_remaining_hop_limit(received_rhl - 1)), gac.area.center(),
-           /*allow_buffer=*/true);
-}
-
-void Router::send_geo_unicast_resolving(net::GnAddress destination, net::Bytes payload,
-                                        std::optional<std::uint8_t> hop_limit,
-                                        std::optional<sim::Duration> lifetime) {
-  assert(running_);
-  if (const auto entry = loc_table_.find(destination, events_.now())) {
-    send_geo_unicast(destination, entry->pv.position, std::move(payload), hop_limit, lifetime);
-    return;
-  }
-  // Unknown destination: queue the payload and kick off the location
-  // service. Additional packets for the same destination share the lookup.
-  auto [it, inserted] = ls_pending_.try_emplace(destination);
-  it->second.queue.push_back(LsPending::QueuedUnicast{
-      std::move(payload), hop_limit.value_or(config_.default_hop_limit),
-      lifetime.value_or(config_.default_lifetime)});
-  if (inserted) {
-    send_ls_request(destination);
-    it->second.retry_timer = events_.schedule_in(
-        config_.ls_retry_interval, timers_, [this, destination] { ls_retry(destination); });
-  }
-}
-
-void Router::send_ls_request(net::GnAddress target) {
-  net::Packet p;
-  p.basic.remaining_hop_limit = config_.ls_hop_limit;
-  p.common.type = net::CommonHeader::HeaderType::kLsRequest;
-  p.common.max_hop_limit = config_.ls_hop_limit;
-  p.extended = net::LsRequestHeader{next_sequence_++, self_pv(), target};
-  duplicates_.check_and_record(p);
-  ++stats_.ls_requests_sent;
-  transmit(security::share(security::SecuredMessage::sign(p, signer_)),
-           net::MacAddress::broadcast());
-}
-
-void Router::ls_retry(net::GnAddress target) {
-  if (!running_) return;
-  const auto it = ls_pending_.find(target);
-  if (it == ls_pending_.end()) return;  // resolved meanwhile
-  if (++it->second.retries >= config_.ls_max_retries) {
-    stats_.ls_failures += it->second.queue.size();
-    ls_pending_.erase(it);
-    return;
-  }
-  send_ls_request(target);
-  it->second.retry_timer = events_.schedule_in(config_.ls_retry_interval, timers_,
-                                               [this, target] { ls_retry(target); });
-}
-
-void Router::send_single_hop_broadcast(net::Bytes payload) {
-  assert(running_);
-  net::Packet p;
-  p.basic.remaining_hop_limit = 1;
-  p.common.type = net::CommonHeader::HeaderType::kSingleHopBroadcast;
-  p.common.max_hop_limit = 1;
-  p.extended = net::ShbHeader{self_pv()};
-  p.payload = std::move(payload);
-  ++stats_.shb_sent;
-  transmit(security::share(security::SecuredMessage::sign(p, signer_)),
-           net::MacAddress::broadcast());
-}
-
-net::SequenceNumber Router::send_topo_broadcast(net::Bytes payload,
-                                                std::optional<std::uint8_t> hop_limit) {
-  assert(running_);
-  const std::uint8_t hops = hop_limit.value_or(config_.default_hop_limit);
-  net::Packet p;
-  p.basic.remaining_hop_limit = hops;
-  p.common.type = net::CommonHeader::HeaderType::kTopoBroadcast;
-  p.common.max_hop_limit = hops;
-  p.extended = net::TsbHeader{next_sequence_, self_pv()};
-  p.payload = std::move(payload);
-  const net::SequenceNumber sn = next_sequence_++;
-  duplicates_.check_and_record(p);
-  ++stats_.tsb_originated;
-  transmit(security::share(security::SecuredMessage::sign(p, signer_)),
-           net::MacAddress::broadcast());
   return sn;
 }
 
@@ -441,21 +318,6 @@ void Router::process_frame(const security::SecuredMessagePtr& msg, const phy::Fr
     case net::CommonHeader::HeaderType::kGeoUnicast:
       handle_guc(msg, frame);
       break;
-    case net::CommonHeader::HeaderType::kGeoAnycast:
-      handle_gac(msg, frame);
-      break;
-    case net::CommonHeader::HeaderType::kTopoBroadcast:
-      handle_tsb(msg, frame);
-      break;
-    case net::CommonHeader::HeaderType::kSingleHopBroadcast:
-      deliver(msg, frame.src);
-      break;
-    case net::CommonHeader::HeaderType::kLsRequest:
-      handle_ls_request(msg, frame);
-      break;
-    case net::CommonHeader::HeaderType::kLsReply:
-      handle_ls_reply(msg, frame);
-      break;
     case net::CommonHeader::HeaderType::kAck:
       handle_ack(msg);
       break;
@@ -472,12 +334,8 @@ bool Router::validate_ingest(const net::Packet& p) {
   if (geometry_ok) {
     if (const auto* u = p.guc()) {
       geometry_ok = finite_spv(u->destination);
-    } else if (const auto* lr = p.ls_reply()) {
-      geometry_ok = finite_spv(lr->destination);
     } else if (const auto* g = p.gbc()) {
       geometry_ok = finite_area(g->area);
-    } else if (const auto* a = p.gac()) {
-      geometry_ok = finite_area(a->area);
     }
   }
   if (!geometry_ok) {
@@ -506,94 +364,6 @@ bool Router::validate_ingest(const net::Packet& p) {
     return false;
   }
   return true;
-}
-
-void Router::handle_tsb(const security::SecuredMessagePtr& msg, const phy::Frame& frame) {
-  const net::Packet& p = msg->packet();
-  if (duplicates_.check_and_record(p, frame.src)) {
-    ++stats_.duplicates;
-    return;
-  }
-  deliver(msg, frame.src);
-  const std::uint8_t received_rhl = p.basic.remaining_hop_limit;
-  if (received_rhl <= 1) {
-    ++stats_.rhl_exhausted;
-    return;
-  }
-  ++stats_.tsb_forwards;
-  transmit(security::share(msg->with_remaining_hop_limit(received_rhl - 1)),
-           net::MacAddress::broadcast());
-}
-
-void Router::handle_ls_request(const security::SecuredMessagePtr& msg, const phy::Frame& frame) {
-  const net::Packet& p = msg->packet();
-  if (duplicates_.check_and_record(p, frame.src)) {
-    ++stats_.duplicates;
-    return;
-  }
-  const net::LsRequestHeader& request = *p.ls_request();
-  if (request.target == address_) {
-    // We are being looked for: answer with our PV, routed back to the
-    // requester's advertised position.
-    net::Packet reply;
-    reply.basic.remaining_hop_limit = config_.ls_hop_limit;
-    reply.common.type = net::CommonHeader::HeaderType::kLsReply;
-    reply.common.max_hop_limit = config_.ls_hop_limit;
-    net::ShortPositionVector dest;
-    dest.address = request.source_pv.address;
-    dest.timestamp = events_.now();
-    dest.position = request.source_pv.position;
-    reply.extended = net::LsReplyHeader{next_sequence_++, self_pv(), dest};
-    duplicates_.check_and_record(reply);
-    ++stats_.ls_replies_sent;
-    gf_route(security::share(security::SecuredMessage::sign(reply, signer_)), dest.position,
-             /*allow_buffer=*/true);
-    return;
-  }
-  // Not for us: keep flooding within the hop budget.
-  const std::uint8_t received_rhl = p.basic.remaining_hop_limit;
-  if (received_rhl <= 1) {
-    ++stats_.rhl_exhausted;
-    return;
-  }
-  transmit(security::share(msg->with_remaining_hop_limit(received_rhl - 1)),
-           net::MacAddress::broadcast());
-}
-
-void Router::handle_ls_reply(const security::SecuredMessagePtr& msg, const phy::Frame& frame) {
-  const net::Packet& p = msg->packet();
-  if (duplicates_.check_and_record(p, frame.src)) {
-    ++stats_.duplicates;
-    return;
-  }
-  const net::LsReplyHeader& reply = *p.ls_reply();
-  if (reply.destination.address != address_) {
-    const std::uint8_t received_rhl = p.basic.remaining_hop_limit;
-    if (received_rhl <= 1) {
-      ++stats_.rhl_exhausted;
-      return;
-    }
-    geo::Position dest_pos = reply.destination.position;
-    if (const auto entry = loc_table_.find(reply.destination.address, events_.now())) {
-      dest_pos = entry->pv.position;
-    }
-    gf_route(security::share(msg->with_remaining_hop_limit(received_rhl - 1)), dest_pos,
-             /*allow_buffer=*/true);
-    return;
-  }
-  // Resolution arrived: the reply's source PV *is* the target's position
-  // (already folded into our location table by on_frame). Flush the queue.
-  const net::GnAddress target = reply.source_pv.address;
-  const auto it = ls_pending_.find(target);
-  if (it == ls_pending_.end()) return;  // duplicate resolution or timed out
-  events_.cancel(it->second.retry_timer);
-  LsPending pending = std::move(it->second);
-  ls_pending_.erase(it);
-  ++stats_.ls_resolved;
-  for (auto& queued : pending.queue) {
-    send_geo_unicast(target, reply.source_pv.position, std::move(queued.payload),
-                     queued.hop_limit, queued.lifetime);
-  }
 }
 
 void Router::send_ack_for(const net::Packet& packet, net::MacAddress to) {
@@ -911,9 +681,7 @@ void Router::run_monitor_sweep() {
 
 void Router::deliver(const security::SecuredMessagePtr& msg, net::MacAddress from) {
   ++stats_.delivered;
-  const Delivery delivery{msg, events_.now(), from};
-  if (delivery_) delivery_(delivery);
-  for (const auto& listener : listeners_) listener(delivery);
+  if (delivery_) delivery_(Delivery{msg, events_.now(), from});
 }
 
 void Router::transmit(const security::SecuredMessagePtr& msg, net::MacAddress dst) {

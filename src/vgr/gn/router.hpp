@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "vgr/gn/cbf.hpp"
 #include "vgr/gn/config.hpp"
@@ -59,13 +57,6 @@ struct RouterStats {
   std::uint64_t stale_pv_drops{0};
   std::uint64_t duplicates{0};
   std::uint64_t rhl_exhausted{0};
-  std::uint64_t shb_sent{0};
-  std::uint64_t tsb_originated{0};
-  std::uint64_t tsb_forwards{0};
-  std::uint64_t ls_requests_sent{0};
-  std::uint64_t ls_replies_sent{0};
-  std::uint64_t ls_resolved{0};
-  std::uint64_t ls_failures{0};
   std::uint64_t acks_sent{0};
   std::uint64_t acks_received{0};
   std::uint64_t ack_retries{0};
@@ -131,34 +122,12 @@ class Router {
                                          std::optional<std::uint8_t> hop_limit = std::nullopt,
                                          std::optional<sim::Duration> lifetime = std::nullopt);
 
-  /// GeoAnycast: `payload` to *any one* station inside `area` — the first
-  /// receiver inside the area consumes the packet instead of flooding it.
-  net::SequenceNumber send_geo_anycast(const geo::GeoArea& area, net::Bytes payload,
-                                       std::optional<std::uint8_t> hop_limit = std::nullopt,
-                                       std::optional<sim::Duration> lifetime = std::nullopt);
-
   /// GeoUnicast `payload` to `destination`; `position_hint` seeds the
   /// destination position when we have no location-table entry for it.
   net::SequenceNumber send_geo_unicast(net::GnAddress destination, geo::Position position_hint,
                                        net::Bytes payload,
                                        std::optional<std::uint8_t> hop_limit = std::nullopt,
                                        std::optional<sim::Duration> lifetime = std::nullopt);
-
-  /// GeoUnicast without a position hint: when the destination is not in the
-  /// location table, the packet is held while the Location Service floods a
-  /// request (ETSI §10.2.2) and sent once the reply arrives.
-  void send_geo_unicast_resolving(net::GnAddress destination, net::Bytes payload,
-                                  std::optional<std::uint8_t> hop_limit = std::nullopt,
-                                  std::optional<sim::Duration> lifetime = std::nullopt);
-
-  /// Single-hop broadcast (SHB): payload to direct neighbours, never
-  /// forwarded — the transport cooperative-awareness messages use.
-  void send_single_hop_broadcast(net::Bytes payload);
-
-  /// Topologically-scoped broadcast (TSB): hop-limited flood with duplicate
-  /// suppression, no geographic constraint.
-  net::SequenceNumber send_topo_broadcast(net::Bytes payload,
-                                          std::optional<std::uint8_t> hop_limit = std::nullopt);
 
   /// Sends one beacon immediately (also used by tests).
   void send_beacon_now();
@@ -187,12 +156,6 @@ class Router {
   // --- Introspection ----------------------------------------------------
 
   void set_delivery_handler(DeliveryHandler handler) { delivery_ = std::move(handler); }
-
-  /// Additional delivery observers (facilities-layer services); invoked
-  /// after the primary handler, in registration order.
-  void add_delivery_listener(DeliveryHandler listener) {
-    listeners_.push_back(std::move(listener));
-  }
 
   /// Invoked when duplicate address detection fires (our own GN address
   /// heard from another station) and `RouterConfig::dad_enabled` is set.
@@ -254,13 +217,7 @@ class Router {
   void handle_beacon(const security::SecuredMessagePtr& msg);
   void handle_gbc(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
   void handle_guc(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
-  void handle_gac(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
-  void handle_tsb(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
-  void handle_ls_request(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
-  void handle_ls_reply(const security::SecuredMessagePtr& msg, const phy::Frame& frame);
   void handle_ack(const security::SecuredMessagePtr& msg);
-  void send_ls_request(net::GnAddress target);
-  void ls_retry(net::GnAddress target);
   void send_ack_for(const net::Packet& packet, net::MacAddress to);
   void arm_ack_timer(const CbfKey& key);
   void ack_timeout(const CbfKey& key);
@@ -326,7 +283,6 @@ class Router {
   CbfBuffer cbf_;
   RouterStats stats_;
   DeliveryHandler delivery_;
-  std::vector<DeliveryHandler> listeners_;
   std::function<void()> on_address_conflict_;
 
   /// Store-carry-forward buffer. With `RouterConfig::scf_enabled` it runs
@@ -336,28 +292,15 @@ class Router {
   ScfBuffer scf_;
   NeighborMonitor monitor_;
   /// Cancellation cohort holding every router-owned timer (beacon, GF
-  /// retry, monitor sweep, LS retries, ACK timers); shutdown retires the
-  /// whole population with one generation bump instead of walking the
-  /// pending maps. CBF contention timers live in the CbfBuffer's own cohort.
+  /// retry, monitor sweep, ACK timers); shutdown retires the whole
+  /// population with one generation bump instead of walking the pending
+  /// maps. CBF contention timers live in the CbfBuffer's own cohort.
   sim::CohortId timers_{};
   sim::EventId gf_retry_event_{};
   sim::EventId monitor_event_{};
   sim::EventId beacon_event_{};
   net::SequenceNumber next_sequence_{0};
   bool running_{false};
-
-  /// Location-service state: packets queued for an unresolved destination.
-  struct LsPending {
-    struct QueuedUnicast {
-      net::Bytes payload;
-      std::uint8_t hop_limit;
-      sim::Duration lifetime;
-    };
-    std::vector<QueuedUnicast> queue;
-    sim::EventId retry_timer{};
-    int retries{0};
-  };
-  std::unordered_map<net::GnAddress, LsPending> ls_pending_;
 
   /// ACK'd-forwarding / retransmission state: unicast forwards awaiting
   /// confirmation. `retries` counts hop *reroutes* (legacy gf_ack

@@ -186,23 +186,6 @@ Bytes Codec::encode_signed_portion(const Packet& p) {
     w.u16(u->sequence_number);
     write_lpv(w, u->source_pv);
     write_spv(w, u->destination);
-  } else if (const auto* ga = p.gac()) {
-    w.u16(ga->sequence_number);
-    write_lpv(w, ga->source_pv);
-    write_area(w, ga->area);
-  } else if (const auto* t = p.tsb()) {
-    w.u16(t->sequence_number);
-    write_lpv(w, t->source_pv);
-  } else if (const auto* s = p.shb()) {
-    write_lpv(w, s->source_pv);
-  } else if (const auto* lr = p.ls_request()) {
-    w.u16(lr->sequence_number);
-    write_lpv(w, lr->source_pv);
-    w.u64(lr->target.bits());
-  } else if (const auto* lp = p.ls_reply()) {
-    w.u16(lp->sequence_number);
-    write_lpv(w, lp->source_pv);
-    write_spv(w, lp->destination);
   } else if (const auto* a = p.ack()) {
     write_lpv(w, a->source_pv);
     w.u64(a->acked_source.bits());
@@ -266,43 +249,6 @@ std::optional<Packet> Codec::decode(const Bytes& wire) {
       p.extended = GucHeader{*sn, *pv, *dest};
       break;
     }
-    case CommonHeader::HeaderType::kGeoAnycast: {
-      const auto sn = r.u16();
-      const auto pv = read_lpv(r);
-      const auto area = read_area(r);
-      if (!sn || !pv || !area) return std::nullopt;
-      p.extended = GacHeader{*sn, *pv, *area};
-      break;
-    }
-    case CommonHeader::HeaderType::kTopoBroadcast: {
-      const auto sn = r.u16();
-      const auto pv = read_lpv(r);
-      if (!sn || !pv) return std::nullopt;
-      p.extended = TsbHeader{*sn, *pv};
-      break;
-    }
-    case CommonHeader::HeaderType::kSingleHopBroadcast: {
-      const auto pv = read_lpv(r);
-      if (!pv) return std::nullopt;
-      p.extended = ShbHeader{*pv};
-      break;
-    }
-    case CommonHeader::HeaderType::kLsRequest: {
-      const auto sn = r.u16();
-      const auto pv = read_lpv(r);
-      const auto target = r.u64();
-      if (!sn || !pv || !target) return std::nullopt;
-      p.extended = LsRequestHeader{*sn, *pv, GnAddress::from_bits(*target)};
-      break;
-    }
-    case CommonHeader::HeaderType::kLsReply: {
-      const auto sn = r.u16();
-      const auto pv = read_lpv(r);
-      const auto dest = read_spv(r);
-      if (!sn || !pv || !dest) return std::nullopt;
-      p.extended = LsReplyHeader{*sn, *pv, *dest};
-      break;
-    }
     case CommonHeader::HeaderType::kAck: {
       const auto pv = read_lpv(r);
       const auto src = r.u64();
@@ -311,7 +257,7 @@ std::optional<Packet> Codec::decode(const Bytes& wire) {
       p.extended = AckHeader{*pv, GnAddress::from_bits(*src), *sn};
       break;
     }
-    default:
+    default:  // includes the unmodelled kinds (see CommonHeader::HeaderType)
       return std::nullopt;
   }
   const auto payload = r.bytes();
@@ -332,11 +278,9 @@ constexpr std::size_t kSpvBytes = 4 * 8;   // address, timestamp, x, y
 constexpr std::size_t kAreaBytes = 1 + 5 * 8;  // shape tag + cx, cy, a, b, azimuth
 
 std::size_t extended_header_size(const Packet& p) {
-  if (p.beacon() != nullptr || p.shb() != nullptr) return kLpvBytes;
-  if (p.gbc() != nullptr || p.gac() != nullptr) return 2 + kLpvBytes + kAreaBytes;
-  if (p.guc() != nullptr || p.ls_reply() != nullptr) return 2 + kLpvBytes + kSpvBytes;
-  if (p.tsb() != nullptr) return 2 + kLpvBytes;
-  if (p.ls_request() != nullptr) return 2 + kLpvBytes + 8;
+  if (p.beacon() != nullptr) return kLpvBytes;
+  if (p.gbc() != nullptr) return 2 + kLpvBytes + kAreaBytes;
+  if (p.guc() != nullptr) return 2 + kLpvBytes + kSpvBytes;
   if (p.ack() != nullptr) return kLpvBytes + 8 + 2;
   return 0;
 }

@@ -12,14 +12,8 @@ const LongPositionVector& Packet::source_pv() const {
 
 std::optional<std::pair<GnAddress, SequenceNumber>> Packet::duplicate_key() const {
   if (const auto* g = gbc()) return std::make_pair(g->source_pv.address, g->sequence_number);
-  if (const auto* a = gac()) return std::make_pair(a->source_pv.address, a->sequence_number);
   if (const auto* u = guc()) return std::make_pair(u->source_pv.address, u->sequence_number);
-  if (const auto* t = tsb()) return std::make_pair(t->source_pv.address, t->sequence_number);
-  if (const auto* r = ls_request()) {
-    return std::make_pair(r->source_pv.address, r->sequence_number);
-  }
-  if (const auto* r = ls_reply()) return std::make_pair(r->source_pv.address, r->sequence_number);
-  return std::nullopt;  // beacons, SHB and ACKs are never forwarded
+  return std::nullopt;  // beacons and ACKs are never forwarded
 }
 
 std::string to_string(const Packet& p) {
@@ -27,12 +21,7 @@ std::string to_string(const Packet& p) {
   switch (p.common.type) {
     case CommonHeader::HeaderType::kBeacon: kind = "beacon"; break;
     case CommonHeader::HeaderType::kGeoUnicast: kind = "guc"; break;
-    case CommonHeader::HeaderType::kGeoAnycast: kind = "gac"; break;
     case CommonHeader::HeaderType::kGeoBroadcast: kind = "gbc"; break;
-    case CommonHeader::HeaderType::kTopoBroadcast: kind = "tsb"; break;
-    case CommonHeader::HeaderType::kSingleHopBroadcast: kind = "shb"; break;
-    case CommonHeader::HeaderType::kLsRequest: kind = "ls-req"; break;
-    case CommonHeader::HeaderType::kLsReply: kind = "ls-rep"; break;
     case CommonHeader::HeaderType::kAck: kind = "ack"; break;
   }
   unsigned sn = 0;

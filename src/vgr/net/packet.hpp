@@ -30,15 +30,12 @@ struct BasicHeader {
 
 /// Common Header (ETSI §9.7) — integrity protected.
 struct CommonHeader {
+  /// The gaps are ETSI kinds this simulator does not model (GeoAnycast 3,
+  /// TSB 5, SHB 6, Location Service 7/8): a frame carrying one fails decode.
   enum class HeaderType : std::uint8_t {
     kBeacon = 1,
     kGeoUnicast = 2,
-    kGeoAnycast = 3,
     kGeoBroadcast = 4,
-    kTopoBroadcast = 5,
-    kSingleHopBroadcast = 6,
-    kLsRequest = 7,
-    kLsReply = 8,
     kAck = 9,
   };
 
@@ -64,54 +61,12 @@ struct GbcHeader {
   friend bool operator==(const GbcHeader&, const GbcHeader&) = default;
 };
 
-/// Extended header for GeoAnycast: same shape as GBC, but the packet is
-/// consumed by the *first* station inside the area instead of flooded.
-struct GacHeader {
-  SequenceNumber sequence_number{0};
-  LongPositionVector source_pv{};
-  geo::GeoArea area{geo::GeoArea::circle({}, 1.0)};
-  friend bool operator==(const GacHeader&, const GacHeader&) = default;
-};
-
 /// Extended header for GeoUnicast.
 struct GucHeader {
   SequenceNumber sequence_number{0};
   LongPositionVector source_pv{};
   ShortPositionVector destination{};
   friend bool operator==(const GucHeader&, const GucHeader&) = default;
-};
-
-/// Topologically-scoped broadcast (TSB, ETSI §9.8.6): n-hop flooding with
-/// duplicate suppression, no geographic target.
-struct TsbHeader {
-  SequenceNumber sequence_number{0};
-  LongPositionVector source_pv{};
-  friend bool operator==(const TsbHeader&, const TsbHeader&) = default;
-};
-
-/// Single-hop broadcast (SHB, ETSI §9.8.7): the transport CAMs ride on.
-/// Never forwarded; like a beacon but with a payload.
-struct ShbHeader {
-  LongPositionVector source_pv{};
-  friend bool operator==(const ShbHeader&, const ShbHeader&) = default;
-};
-
-/// Location Service request (ETSI §10.2.2): hop-limited flood asking for
-/// the position of `target`; the target answers with an LS reply.
-struct LsRequestHeader {
-  SequenceNumber sequence_number{0};
-  LongPositionVector source_pv{};
-  GnAddress target{};
-  friend bool operator==(const LsRequestHeader&, const LsRequestHeader&) = default;
-};
-
-/// Location Service reply: unicast back to the requester, carrying the
-/// target's own PV as the source PV.
-struct LsReplyHeader {
-  SequenceNumber sequence_number{0};
-  LongPositionVector source_pv{};
-  ShortPositionVector destination{};  ///< the original requester
-  friend bool operator==(const LsReplyHeader&, const LsReplyHeader&) = default;
 };
 
 /// Link-layer-style forwarding acknowledgement (extension, not ETSI): sent
@@ -124,8 +79,7 @@ struct AckHeader {
   friend bool operator==(const AckHeader&, const AckHeader&) = default;
 };
 
-using ExtendedHeader = std::variant<BeaconHeader, GbcHeader, GucHeader, GacHeader, TsbHeader,
-                                    ShbHeader, LsRequestHeader, LsReplyHeader, AckHeader>;
+using ExtendedHeader = std::variant<BeaconHeader, GbcHeader, GucHeader, AckHeader>;
 
 /// A complete GeoNetworking packet. `basic` is mutable per hop (RHL);
 /// `common`, `extended` and `payload` form the signed portion.
@@ -145,15 +99,6 @@ struct Packet {
   [[nodiscard]] GbcHeader* gbc() { return std::get_if<GbcHeader>(&extended); }
   [[nodiscard]] const GucHeader* guc() const { return std::get_if<GucHeader>(&extended); }
   [[nodiscard]] GucHeader* guc() { return std::get_if<GucHeader>(&extended); }
-  [[nodiscard]] const GacHeader* gac() const { return std::get_if<GacHeader>(&extended); }
-  [[nodiscard]] const TsbHeader* tsb() const { return std::get_if<TsbHeader>(&extended); }
-  [[nodiscard]] const ShbHeader* shb() const { return std::get_if<ShbHeader>(&extended); }
-  [[nodiscard]] const LsRequestHeader* ls_request() const {
-    return std::get_if<LsRequestHeader>(&extended);
-  }
-  [[nodiscard]] const LsReplyHeader* ls_reply() const {
-    return std::get_if<LsReplyHeader>(&extended);
-  }
   [[nodiscard]] const AckHeader* ack() const { return std::get_if<AckHeader>(&extended); }
 
   /// Source LPV regardless of packet flavour.

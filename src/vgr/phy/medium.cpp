@@ -5,8 +5,8 @@
 
 namespace vgr::phy {
 
-Medium::Medium(sim::EventQueue& events, AccessTechnology tech, sim::Rng rng)
-    : events_{events}, tech_{tech}, rng_{rng} {}
+Medium::Medium(sim::EventQueue& events, AccessTechnology tech)
+    : events_{events}, tech_{tech} {}
 
 RadioId Medium::add_node(NodeConfig config, RxCallback rx) {
   assert(config.position && "node needs a position source");
@@ -69,18 +69,10 @@ void Medium::extend_busy(Node& node, sim::TimePoint from, sim::TimePoint until) 
 }
 
 bool Medium::receivable(const Node& to, geo::Position from_pos, geo::Position to_pos,
-                        double range_m, double distance_m) {
+                        double range_m, double distance_m) const {
   const double reach = to.config.rx_range_m > 0.0 ? to.config.rx_range_m : range_m;
   if (distance_m > reach) return false;
-  if (obstruction_ && obstruction_(from_pos, to_pos)) return false;
-  if (reception_model_ == ReceptionModel::kLogDistanceFading) {
-    const double onset = fading_onset_ * range_m;
-    if (distance_m > onset) {
-      const double p = (range_m - distance_m) / (range_m - onset);
-      if (!rng_.bernoulli(p)) return false;
-    }
-  }
-  return true;
+  return !(obstruction_ && obstruction_(from_pos, to_pos));
 }
 
 void Medium::transmit(RadioId sender, Frame frame, double range_override_m) {

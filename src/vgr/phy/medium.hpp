@@ -13,7 +13,6 @@
 #include "vgr/phy/technology.hpp"
 #include "vgr/security/secured_message.hpp"
 #include "vgr/sim/event_queue.hpp"
-#include "vgr/sim/random.hpp"
 
 namespace vgr::phy {
 
@@ -45,16 +44,6 @@ struct RadioId {
   friend bool operator==(RadioId, RadioId) = default;
 };
 
-/// Reception model for the shared channel.
-///
-/// * kDisk — a frame is received by every node within the sender's
-///   configured transmission range. This matches the paper's simulator and
-///   keeps the reproduction deterministic.
-/// * kLogDistanceFading — disk reception degraded by distance-dependent
-///   loss (success probability falls from 1 at `fading_onset_fraction` of
-///   the range to 0 at the range edge), for ablation studies.
-enum class ReceptionModel { kDisk, kLogDistanceFading };
-
 /// Rebuild cadence of the medium's spatial index (see Medium::set_index_mode).
 ///
 /// * kPerEvent — the index is rebuilt lazily whenever the event queue has
@@ -70,9 +59,11 @@ enum class IndexMode { kPerEvent, kExplicit };
 
 /// The shared broadcast radio channel.
 ///
-/// Reception is sender-range based: each transmitter owns a TX power setting
-/// expressed directly as a range in metres (the paper's attacker "changes
-/// its transmission power to control its communication range"). Unicast
+/// Reception is a disk around the sender, as in the paper's simulator: a
+/// frame reaches every unobstructed node within the sender's range, with no
+/// random loss. Each transmitter owns a TX power setting expressed directly
+/// as a range in metres (the paper's attacker "changes its transmission
+/// power to control its communication range"). Unicast
 /// frames still propagate to *every* node in range — radio is a broadcast
 /// medium — so a promiscuous sniffer overhears unicast traffic; normal
 /// radios drop frames addressed elsewhere before the GN layer sees them.
@@ -83,7 +74,7 @@ class Medium {
   /// Returns true when the direct path a->b is blocked (terrain, curve).
   using ObstructionFn = std::function<bool(geo::Position, geo::Position)>;
 
-  Medium(sim::EventQueue& events, AccessTechnology tech, sim::Rng rng = sim::Rng{0x51CEu});
+  Medium(sim::EventQueue& events, AccessTechnology tech);
 
   struct NodeConfig {
     net::MacAddress mac{};
@@ -134,10 +125,6 @@ class Medium {
   }
   [[nodiscard]] FaultInjector* fault_injector() { return injector_.get(); }
   [[nodiscard]] const FaultInjector* fault_injector() const { return injector_.get(); }
-
-  void set_reception_model(ReceptionModel model) { reception_model_ = model; }
-  /// For kLogDistanceFading: fraction of the range where loss begins.
-  void set_fading_onset_fraction(double f) { fading_onset_ = f; }
 
   /// Link-layer bytes added to every frame's encoded GN wire size when
   /// converting it to airtime (MAC header + LLC/SNAP + FCS; the GN packet
@@ -210,7 +197,7 @@ class Medium {
   };
 
   [[nodiscard]] bool receivable(const Node& to, geo::Position from_pos, geo::Position to_pos,
-                                double range_m, double distance_m);
+                                double range_m, double distance_m) const;
 
   /// Extends `node`'s carrier-sense horizon to `until`, crediting the time
   /// in [from, until] not already covered by the previous horizon to its
@@ -233,9 +220,6 @@ class Medium {
 
   sim::EventQueue& events_;
   AccessTechnology tech_;
-  sim::Rng rng_;
-  ReceptionModel reception_model_{ReceptionModel::kDisk};
-  double fading_onset_{0.8};
   ObstructionFn obstruction_{};
   std::unique_ptr<FaultInjector> injector_{};
   /// Node slot for RadioId `v` is nodes_[v - 1]: ids are issued

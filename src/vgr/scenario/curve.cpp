@@ -40,7 +40,8 @@ class CurveMobility final : public gn::MobilityProvider {
 CurveResult run_curve_scenario(const CurveConfig& config) {
   sim::Rng rng{config.seed};
   sim::EventQueue events;
-  phy::Medium medium{events, config.tech, rng.fork()};
+  rng.fork();  // discarded medium-stream draw: every later fork depends on it
+  phy::Medium medium{events, config.tech};
   security::CertificateAuthority ca;
   const double range = phy::range_table(config.tech).nlos_median_m;
 

@@ -19,7 +19,8 @@ HazardScenario::HazardScenario(HazardConfig config)
                            : phy::range_table(config.tech).nlos_median_m},
       master_rng_{config.seed},
       road_{config.road_length_m, config.lanes_per_direction, /*two_way=*/true} {
-  medium_ = std::make_unique<phy::Medium>(events_, config_.tech, master_rng_.fork());
+  master_rng_.fork();  // discarded medium-stream draw: every later fork depends on it
+  medium_ = std::make_unique<phy::Medium>(events_, config_.tech);
   // Positions move only on the traffic tick; rebuild the radio index once
   // per tick instead of per event (see HighwayScenario for the rationale).
   medium_->set_index_mode(phy::IndexMode::kExplicit);

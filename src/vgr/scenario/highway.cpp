@@ -107,7 +107,8 @@ HighwayScenario::HighwayScenario(HighwayConfig config)
       // pre-churn results.
       churn_rng_{config.seed ^ 0xC0FF'EE00'5EED'1234ULL},
       road_{config.road_length_m, config.lanes_per_direction, config.two_way} {
-  medium_ = std::make_unique<phy::Medium>(events_, config_.tech, master_rng_.fork());
+  master_rng_.fork();  // discarded medium-stream draw: every later fork depends on it
+  medium_ = std::make_unique<phy::Medium>(events_, config_.tech);
   medium_->set_interference(config_.interference);
   medium_->set_spatial_index(config_.spatial_index);
   if (config_.faults.enabled()) {

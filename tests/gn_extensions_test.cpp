@@ -1,5 +1,5 @@
-// Tests for the transport extensions: SHB, TSB, the Location Service,
-// ACK'd forwarding, and pseudonym rotation.
+// Tests for the router extensions: ACK'd forwarding, pseudonym rotation,
+// duplicate address detection and co-channel interference.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "vgr/attack/inter_area.hpp"
 #include "vgr/gn/router.hpp"
-#include "vgr/net/codec.hpp"
 #include "vgr/security/authority.hpp"
 #include "vgr/security/pseudonym.hpp"
 
@@ -57,192 +56,14 @@ class ExtensionsTest : public ::testing::Test {
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 
-// --- Codec round trips for the new packet kinds ---------------------------
-
-TEST(ExtensionCodec, NewHeaderTypesRoundTrip) {
-  net::LongPositionVector pv;
-  pv.address = net::GnAddress{net::GnAddress::StationType::kPassengerCar, net::MacAddress{9}};
-  pv.position = {10.0, 20.0};
-
-  std::vector<net::Packet> packets;
-  {
-    net::Packet p;
-    p.common.type = net::CommonHeader::HeaderType::kTopoBroadcast;
-    p.extended = net::TsbHeader{3, pv};
-    p.payload = {1, 2};
-    packets.push_back(p);
-  }
-  {
-    net::Packet p;
-    p.common.type = net::CommonHeader::HeaderType::kSingleHopBroadcast;
-    p.extended = net::ShbHeader{pv};
-    packets.push_back(p);
-  }
-  {
-    net::Packet p;
-    p.common.type = net::CommonHeader::HeaderType::kLsRequest;
-    p.extended = net::LsRequestHeader{4, pv, net::GnAddress::from_bits(77)};
-    packets.push_back(p);
-  }
-  {
-    net::Packet p;
-    p.common.type = net::CommonHeader::HeaderType::kLsReply;
-    net::ShortPositionVector dest;
-    dest.address = net::GnAddress::from_bits(88);
-    dest.position = {5.0, 6.0};
-    p.extended = net::LsReplyHeader{5, pv, dest};
-    packets.push_back(p);
-  }
-  {
-    net::Packet p;
-    p.common.type = net::CommonHeader::HeaderType::kAck;
-    p.extended = net::AckHeader{pv, net::GnAddress::from_bits(99), 42};
-    packets.push_back(p);
-  }
-  for (const auto& p : packets) {
-    const auto decoded = net::Codec::decode(net::Codec::encode(p));
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, p);
-  }
-}
+// --- Codec ------------------------------------------------------------------
 
 TEST(ExtensionCodec, DuplicateKeysForFloodedKinds) {
-  net::Packet tsb;
-  tsb.common.type = net::CommonHeader::HeaderType::kTopoBroadcast;
-  tsb.extended = net::TsbHeader{3, {}};
-  EXPECT_TRUE(tsb.duplicate_key().has_value());
-
-  net::Packet shb;
-  shb.common.type = net::CommonHeader::HeaderType::kSingleHopBroadcast;
-  shb.extended = net::ShbHeader{};
-  EXPECT_FALSE(shb.duplicate_key().has_value());
-
+  // An ACK is never flooded or forwarded, so it carries no duplicate key.
   net::Packet ack;
   ack.common.type = net::CommonHeader::HeaderType::kAck;
   ack.extended = net::AckHeader{};
   EXPECT_FALSE(ack.duplicate_key().has_value());
-}
-
-// --- SHB ---------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, ShbReachesOnlyDirectNeighbors) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  Node& c = add_node(850.0);  // out of a's range
-  beacons();
-  a.router->send_single_hop_broadcast({'c', 'a', 'm'});
-  run_for(100_ms);
-  EXPECT_EQ(b.deliveries.size(), 1u);
-  EXPECT_TRUE(c.deliveries.empty());
-  EXPECT_EQ(a.router->stats().shb_sent, 1u);
-  // b must not have re-broadcast it (single hop by definition).
-  EXPECT_EQ(b.router->stats().tsb_forwards, 0u);
-}
-
-TEST_F(ExtensionsTest, ShbUpdatesLocationTableLikeACam) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  a.router->send_single_hop_broadcast({'x'});
-  run_for(100_ms);
-  const auto entry = b.router->location_table().find(a.router->address(), events_.now());
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_TRUE(entry->is_neighbor);
-}
-
-// --- TSB ---------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, TsbFloodsAcrossHops) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  Node& c = add_node(800.0);
-  Node& d = add_node(1200.0);
-  beacons();
-  a.router->send_topo_broadcast({'t'}, 5);
-  run_for(1_s);
-  EXPECT_EQ(b.deliveries.size(), 1u);
-  EXPECT_EQ(c.deliveries.size(), 1u);
-  EXPECT_EQ(d.deliveries.size(), 1u);
-}
-
-TEST_F(ExtensionsTest, TsbHonorsHopLimit) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  Node& c = add_node(800.0);
-  Node& d = add_node(1200.0);
-  beacons();
-  a.router->send_topo_broadcast({'t'}, 2);  // a -> b -> c, no further
-  run_for(1_s);
-  EXPECT_EQ(b.deliveries.size(), 1u);
-  EXPECT_EQ(c.deliveries.size(), 1u);
-  EXPECT_TRUE(d.deliveries.empty());
-}
-
-TEST_F(ExtensionsTest, TsbDuplicatesAreSuppressed) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(100.0);
-  Node& c = add_node(200.0);
-  beacons();
-  a.router->send_topo_broadcast({'t'}, 5);
-  run_for(1_s);
-  // b and c each deliver once despite hearing multiple rebroadcasts.
-  EXPECT_EQ(b.deliveries.size(), 1u);
-  EXPECT_EQ(c.deliveries.size(), 1u);
-}
-
-// --- Location service ---------------------------------------------------------
-
-TEST_F(ExtensionsTest, LocationServiceResolvesUnknownDestination) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  Node& c = add_node(800.0);  // unknown to a (out of range)
-  beacons();
-  ASSERT_FALSE(a.router->location_table().find(c.router->address(), events_.now()).has_value());
-
-  a.router->send_geo_unicast_resolving(c.router->address(), {'l', 's'});
-  run_for(2_s);
-
-  EXPECT_EQ(a.router->stats().ls_requests_sent, 1u);
-  EXPECT_EQ(c.router->stats().ls_replies_sent, 1u);
-  EXPECT_EQ(a.router->stats().ls_resolved, 1u);
-  ASSERT_EQ(c.deliveries.size(), 1u);
-  EXPECT_EQ(c.deliveries[0].packet().payload, (net::Bytes{'l', 's'}));
-  (void)b;
-}
-
-TEST_F(ExtensionsTest, LocationServiceSkipsLookupForKnownDestination) {
-  Node& a = add_node(0.0);
-  Node& b = add_node(400.0);
-  beacons();
-  a.router->send_geo_unicast_resolving(b.router->address(), {'k'});
-  run_for(1_s);
-  EXPECT_EQ(a.router->stats().ls_requests_sent, 0u);
-  EXPECT_EQ(b.deliveries.size(), 1u);
-}
-
-TEST_F(ExtensionsTest, LocationServiceSharesOneLookupAcrossQueuedPackets) {
-  Node& a = add_node(0.0);
-  add_node(400.0);
-  Node& c = add_node(800.0);
-  beacons();
-  a.router->send_geo_unicast_resolving(c.router->address(), {1});
-  a.router->send_geo_unicast_resolving(c.router->address(), {2});
-  run_for(2_s);
-  EXPECT_EQ(a.router->stats().ls_requests_sent, 1u);
-  EXPECT_EQ(c.deliveries.size(), 2u);
-}
-
-TEST_F(ExtensionsTest, LocationServiceGivesUpAfterRetries) {
-  RouterConfig cfg;
-  cfg.ls_retry_interval = 200_ms;
-  cfg.ls_max_retries = 2;
-  Node& a = add_node(0.0, cfg);
-  beacons();
-  const auto ghost =
-      net::GnAddress{net::GnAddress::StationType::kPassengerCar, net::MacAddress{0xDEAD}};
-  a.router->send_geo_unicast_resolving(ghost, {9});
-  run_for(2_s);
-  EXPECT_EQ(a.router->stats().ls_requests_sent, 2u);  // initial + one retry
-  EXPECT_EQ(a.router->stats().ls_failures, 1u);
 }
 
 // --- ACK'd forwarding -----------------------------------------------------------

@@ -131,17 +131,6 @@ TEST(LocationTable, PurgeDropsExpired) {
   EXPECT_EQ(t.raw_size(), 1u);
 }
 
-TEST(LocationTable, ForEachVisitsLiveEntries) {
-  LocationTable t{10_s};
-  const auto t0 = sim::TimePoint::origin();
-  t.update(pv(1, 1.0, t0), t0, true);
-  t.update(pv(2, 2.0, t0), t0, true);
-  t.update(pv(3, 3.0, t0 + 20_s), t0 + 20_s, true);
-  int visited = 0;
-  t.for_each(t0 + 20_s, [&](const LocTableEntry&) { ++visited; });
-  EXPECT_EQ(visited, 1);  // entries 1 & 2 expired by t0+20
-}
-
 // --- New-neighbour edge & erase (recovery layer, docs/robustness.md) ------
 //
 // `update` reports whether the observation produced a *new live neighbour* —

@@ -172,19 +172,6 @@ TEST_F(MediumTest, CountersTrackTraffic) {
   EXPECT_EQ(medium_.frames_delivered(), 2u);
 }
 
-TEST_F(MediumTest, FadingModelDropsNearRangeEdge) {
-  medium_.set_reception_model(ReceptionModel::kLogDistanceFading);
-  medium_.set_fading_onset_fraction(0.5);
-  TestNode& a = add({0, 0}, 100.0, 1);
-  TestNode& near = add({20, 0}, 100.0, 2);   // inside onset: always received
-  TestNode& edge = add({95, 0}, 100.0, 3);   // deep in the fade zone
-  for (int i = 0; i < 200; ++i) medium_.transmit(a.id, broadcast_frame(1));
-  settle();
-  EXPECT_EQ(near.received.size(), 200u);
-  EXPECT_GT(edge.received.size(), 0u);
-  EXPECT_LT(edge.received.size(), 100u);  // ~10% expected at 95/100
-}
-
 TEST_F(MediumTest, AirtimeOverheadExtendsTheBusyWindow) {
   // The airtime of a frame derives from its exact encoded GN wire size plus
   // the configured link-layer overhead. Default overhead is 0 — MAC-off
