@@ -92,12 +92,12 @@ struct AbResult {
   /// Runs (seed-paired A/B executions) where at least one arm tripped the
   /// per-run watchdog (`Fidelity::run_wall_budget_s` / `run_max_events`) and
   /// stopped before its horizon. Such runs still contribute their partial
-  /// timelines; a non-zero count flags the sweep as degraded.
+  /// timelines; a non-zero count says the result covers less than its horizon.
   std::uint64_t timed_out_runs{0};
   /// `timed_out_runs` split by cause, counted per *arm* (a run where both
   /// arms trip contributes twice here but once above): the event-budget trip
   /// is deterministic, the wall-clock one is host-dependent, and the sweep
-  /// supervisor's retry/degrade ladder keys off the distinction.
+  /// supervisor retries only the latter.
   std::uint64_t timed_out_events{0};
   std::uint64_t timed_out_wall{0};
 

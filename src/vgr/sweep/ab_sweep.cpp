@@ -73,20 +73,17 @@ SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
     spec.key = shard_key(label, experiment, fidelity, spec.first_run, shard_runs);
     ++out.shards;
 
-    auto payload = supervisor.run_shard(
-        spec, [&](const ShardSpec& s, const ShardEffort& effort) {
-          Fidelity f = fidelity;
-          f.first_run = s.first_run;
-          f.runs = effort.runs;
-          if (effort.run_max_events > 0) f.run_max_events = effort.run_max_events;
-          if (effort.run_wall_budget_s > 0.0) f.run_wall_budget_s = effort.run_wall_budget_s;
-          const AbResult r = run_point(experiment, config, f);
-          ShardOutcome outcome;
-          outcome.payload = encode_ab(r);
-          outcome.timed_out_events = r.timed_out_events;
-          outcome.timed_out_wall = r.timed_out_wall;
-          return outcome;
-        });
+    auto payload = supervisor.run_shard(spec, [&](const ShardSpec& s) {
+      Fidelity f = fidelity;
+      f.first_run = s.first_run;
+      f.runs = s.runs;
+      const AbResult r = run_point(experiment, config, f);
+      ShardOutcome outcome;
+      outcome.payload = encode_ab(r);
+      outcome.timed_out_events = r.timed_out_events;
+      outcome.timed_out_wall = r.timed_out_wall;
+      return outcome;
+    });
     if (payload.has_value()) {
       payloads.push_back(std::move(*payload));
     } else {

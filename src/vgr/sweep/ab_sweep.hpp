@@ -37,9 +37,9 @@ std::string shard_key(const std::string& label, Experiment experiment,
 /// Runs one sweep point, supervised. With the supervisor disabled this is
 /// exactly run_inter_area_ab / run_intra_area_ab — no journal, no codec,
 /// byte-identical output. Enabled, the point's seed range is cut into
-/// `seed_chunk`-sized shards (0 = one shard), each shard goes through the
-/// supervisor's journal/retry/degrade ladder, and the shard payloads are
-/// merged back into one AbResult.
+/// `seed_chunk`-sized shards (0 = one shard), each shard runs at
+/// `fidelity` through the supervisor's journal, retry and quarantine, and
+/// the shard payloads are merged back into one AbResult.
 SupervisedAb run_ab_supervised(Supervisor& supervisor, Experiment experiment,
                                const std::string& label,
                                const scenario::HighwayConfig& config,

@@ -16,7 +16,9 @@ namespace vgr::sweep {
 struct JournalRecord {
   std::string shard;     ///< stable shard key (see shard_key in ab_sweep.hpp)
   std::string status;    ///< "done" or "quarantined"
-  std::string fidelity;  ///< "full" or "degraded" (halved runs / tighter budget)
+  /// Always "full". "degraded" (a half-seed shard) appears only in journals
+  /// written by older binaries; a resume counts such a record as quarantined.
+  std::string fidelity;
   std::uint64_t attempts{1};  ///< executions the supervisor spent on the shard
   std::string cause;     ///< last failure cause: "none", "events", "wall", "error"
   std::string payload;   ///< JSON value text; "null" for quarantined shards

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -134,8 +135,6 @@ constexpr Knob kKnobs[] = {
     {"VGR_SWEEP_RESUME",         kBool, kAny,         1,   sup<&Sup::resume>},
     {"VGR_SWEEP_RETRIES",        kInt,  kNonNegative, 1,   sup<&Sup::max_retries>},
     {"VGR_SWEEP_BACKOFF_MS",     kReal, kNonNegative, 1,   sup<&Sup::backoff_ms>},
-    {"VGR_SWEEP_MAX_EVENTS",     kInt,  kNonNegative, 1,   sup<&Sup::run_max_events>},
-    {"VGR_SWEEP_TIMEOUT_S",      kReal, kNonNegative, 1,   sup<&Sup::run_wall_budget_s>},
     {"VGR_SWEEP_SEED_CHUNK",     kInt,  kNonNegative, 1,   sup<&Sup::seed_chunk>},
     {"VGR_SWEEP_FAULT_AFTER",    kInt,  kAny,         1,   sup<&Sup::fault_after_appends>},
 };
@@ -211,6 +210,17 @@ KnobSpec parse_knobs(const char* const* envp, std::uint64_t default_runs) {
     const std::size_t set_before = run_rows.fields.size();
     knob.store(spec, v);
     if (run_rows.fields.size() > set_before) append_setting(run_rows.settings, knob, v);
+  }
+  // A VGR_ name outside the table, such as a removed knob a script still
+  // sets, would otherwise change nothing without a word.
+  for (; envp != nullptr && *envp != nullptr; ++envp) {
+    const std::string_view entry{*envp};
+    if (!entry.starts_with("VGR_")) continue;
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (std::ranges::none_of(kKnobs, [&](const Knob& knob) { return name == knob.name; })) {
+      std::fprintf(stderr, "vgr: ignoring unknown %.*s\n", static_cast<int>(name.size()),
+                   name.data());
+    }
   }
   return spec;
 }

@@ -25,7 +25,8 @@ struct KnobSpec {
 /// the knob table in knobs.cpp. `default_runs` is the binary's runs per
 /// setting when VGR_RUNS is unset. Numbers are parsed whole-token; a
 /// malformed or out-of-range value warns on stderr, naming the variable
-/// and its accepted range, and keeps the default.
+/// and its accepted range, and keeps the default. A `VGR_` name that is no
+/// row of the table warns too.
 KnobSpec parse_knobs(const char* const* envp, std::uint64_t default_runs = 3);
 
 /// parse_knobs over the process environment — the only environment read

@@ -1,11 +1,13 @@
 #include "vgr/sweep/supervisor.hpp"
 
+#include <cassert>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <exception>
+#include <string_view>
 
 namespace vgr::sweep {
 namespace {
@@ -32,6 +34,13 @@ const char* outcome_cause(const ShardOutcome& outcome) {
   if (outcome.timed_out_events > 0) return "events";
   if (outcome.timed_out_wall > 0) return "wall";
   return "none";
+}
+
+/// The quarantine counter of a journal `cause`.
+std::uint64_t& quarantined_for(SweepCounters& counters, std::string_view cause) {
+  if (cause == "events") return counters.quarantined_events;
+  if (cause == "wall") return counters.quarantined_wall;
+  return counters.quarantined_error;
 }
 
 }  // namespace
@@ -79,22 +88,8 @@ void Supervisor::request_drain() { g_drain = 1; }
 void Supervisor::reset_drain() { g_drain = 0; }
 
 std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const ShardFn& fn) {
+  assert(enabled());
   ++counters_.shards;
-
-  ShardEffort effort;
-  effort.runs = spec.runs;
-  effort.run_max_events = config_.run_max_events;
-  effort.run_wall_budget_s = config_.run_wall_budget_s;
-
-  if (!config_.enabled) {
-    // Transparent mode: one attempt, full fidelity, results used verbatim
-    // whatever their watchdog counters say (the unsupervised contract).
-    const ShardOutcome outcome = fn(spec, effort);
-    counters_.timed_out_events += outcome.timed_out_events;
-    counters_.timed_out_wall += outcome.timed_out_wall;
-    ++counters_.completed;
-    return outcome.payload;
-  }
 
   if (journal_.has_value()) {
     if (const JournalRecord* rec = journal_->find(spec.key); rec != nullptr) {
@@ -102,128 +97,73 @@ std::optional<std::string> Supervisor::run_shard(const ShardSpec& spec, const Sh
     }
   }
 
-  if (drain_requested()) {
-    // Not journaled: a resumed sweep will execute this shard from scratch.
-    ++counters_.drained;
-    return std::nullopt;
-  }
-
-  ShardOutcome outcome;
+  const char* cause = "none";
   std::uint64_t attempts = 0;
   double backoff = config_.backoff_ms;
-  for (std::uint64_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      if (drain_requested()) {
-        ++counters_.drained;
-        return std::nullopt;
-      }
+  do {
+    if (drain_requested()) {
+      // Not journaled: a resumed sweep will execute this shard from scratch.
+      ++counters_.drained;
+      return std::nullopt;
+    }
+    if (attempts > 0) {
       ++counters_.retries;
       backoff_sleep(backoff);
       backoff *= 2.0;
     }
     ++attempts;
+    ShardOutcome outcome;
     try {
-      outcome = fn(spec, effort);
+      outcome = fn(spec);
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "[sweep] shard %s attempt %llu failed: %s\n", spec.key.c_str(),
                    static_cast<unsigned long long>(attempts), ex.what());
-      outcome = ShardOutcome{};
       outcome.error = true;
     }
     counters_.timed_out_events += outcome.timed_out_events;
     counters_.timed_out_wall += outcome.timed_out_wall;
     if (outcome.clean()) {
-      record(spec, outcome, effort, attempts, "none");
+      record(spec, "done", attempts, "none",
+             outcome.payload.empty() ? "null" : outcome.payload);
       ++counters_.completed;
       return outcome.payload;
     }
-  }
+    cause = outcome_cause(outcome);
+    // The same seeds replay the same event count, so an event-budget trip
+    // would trip again; only a wall trip or an exception may not.
+  } while (std::strcmp(cause, "events") != 0 && attempts <= config_.max_retries);
 
-  // Retries exhausted at full fidelity: one degraded attempt with half the
-  // runs and half the event budget before giving up on the shard.
-  if (drain_requested()) {
-    ++counters_.drained;
-    return std::nullopt;
-  }
-  const char* full_cause = outcome_cause(outcome);
-  ShardEffort degraded = effort;
-  degraded.degraded = true;
-  degraded.runs = effort.runs > 1 ? effort.runs / 2 : 1;
-  if (effort.run_max_events > 0) {
-    degraded.run_max_events = effort.run_max_events / 2 + 1;
-  }
-  ++counters_.degraded;
-  ++attempts;
-  try {
-    outcome = fn(spec, degraded);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "[sweep] shard %s degraded attempt failed: %s\n",
-                 spec.key.c_str(), ex.what());
-    outcome = ShardOutcome{};
-    outcome.error = true;
-  }
-  counters_.timed_out_events += outcome.timed_out_events;
-  counters_.timed_out_wall += outcome.timed_out_wall;
-  if (outcome.clean()) {
-    record(spec, outcome, degraded, attempts, full_cause);
-    ++counters_.completed;
-    return outcome.payload;
-  }
-
-  const char* cause = outcome_cause(outcome);
   std::fprintf(stderr, "[sweep] quarantining shard %s after %llu attempts (cause: %s)\n",
                spec.key.c_str(), static_cast<unsigned long long>(attempts), cause);
-  if (std::strcmp(cause, "events") == 0) {
-    ++counters_.quarantined_events;
-  } else if (std::strcmp(cause, "wall") == 0) {
-    ++counters_.quarantined_wall;
-  } else {
-    ++counters_.quarantined_error;
-  }
-  JournalRecord rec;
-  rec.shard = spec.key;
-  rec.status = "quarantined";
-  rec.fidelity = "degraded";
-  rec.attempts = attempts;
-  rec.cause = cause;
-  rec.payload = "null";
-  if (journal_.has_value()) {
-    journal_->append(rec);
-    maybe_fault();
-  }
+  ++quarantined_for(counters_, cause);
+  record(spec, "quarantined", attempts, cause, "null");
   return std::nullopt;
 }
 
 std::optional<std::string> Supervisor::resume_from(const JournalRecord& rec) {
   ++counters_.resumed;
-  if (rec.fidelity == "degraded") ++counters_.degraded;
-  if (rec.status == "quarantined") {
-    // Quarantine is sticky across resumes: re-running a poisoned shard
-    // would make resumed output depend on how often the sweep crashed.
-    if (rec.cause == "events") {
-      ++counters_.quarantined_events;
-    } else if (rec.cause == "wall") {
-      ++counters_.quarantined_wall;
-    } else {
-      ++counters_.quarantined_error;
-    }
+  // Quarantine is sticky across resumes: re-running a poisoned shard would
+  // make resumed output depend on how often the sweep crashed. A "degraded"
+  // record, a half-seed shard written by an older binary, is a quarantine
+  // of its cause too: a point never merges a partial shard.
+  if (rec.status == "quarantined" || rec.fidelity == "degraded") {
+    ++quarantined_for(counters_, rec.cause);
     return std::nullopt;
   }
   ++counters_.completed;
   return rec.payload;
 }
 
-void Supervisor::record(const ShardSpec& spec, const ShardOutcome& outcome,
-                        const ShardEffort& effort, std::uint64_t attempts,
-                        const char* cause) {
+void Supervisor::record(const ShardSpec& spec, const char* status, std::uint64_t attempts,
+                        const char* cause, const std::string& payload) {
   if (!journal_.has_value()) return;
   JournalRecord rec;
   rec.shard = spec.key;
-  rec.status = "done";
-  rec.fidelity = effort.degraded ? "degraded" : "full";
+  rec.status = status;
+  rec.fidelity = "full";
   rec.attempts = attempts;
   rec.cause = cause;
-  rec.payload = outcome.payload.empty() ? "null" : outcome.payload;
+  rec.payload = payload;
   journal_->append(rec);
   maybe_fault();
 }
@@ -252,25 +192,12 @@ void Supervisor::write_manifest() const {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return;
   const bool drained = counters_.drained > 0 || drain_requested();
-  std::fprintf(f,
-               "{\"journal\":\"%s\",\"status\":\"%s\",\"shards\":%llu,"
-               "\"completed\":%llu,\"resumed\":%llu,\"retries\":%llu,"
-               "\"degraded\":%llu,\"quarantined_events\":%llu,"
-               "\"quarantined_wall\":%llu,\"quarantined_error\":%llu,"
-               "\"drained\":%llu,\"timed_out_events\":%llu,"
-               "\"timed_out_wall\":%llu}\n",
-               config_.journal_path.c_str(), drained ? "drained" : "complete",
-               static_cast<unsigned long long>(counters_.shards),
-               static_cast<unsigned long long>(counters_.completed),
-               static_cast<unsigned long long>(counters_.resumed),
-               static_cast<unsigned long long>(counters_.retries),
-               static_cast<unsigned long long>(counters_.degraded),
-               static_cast<unsigned long long>(counters_.quarantined_events),
-               static_cast<unsigned long long>(counters_.quarantined_wall),
-               static_cast<unsigned long long>(counters_.quarantined_error),
-               static_cast<unsigned long long>(counters_.drained),
-               static_cast<unsigned long long>(counters_.timed_out_events),
-               static_cast<unsigned long long>(counters_.timed_out_wall));
+  std::fprintf(f, "{\"journal\":\"%s\",\"status\":\"%s\"", config_.journal_path.c_str(),
+               drained ? "drained" : "complete");
+  SweepCounters::for_each([&](const char* name, auto member) {
+    std::fprintf(f, ",\"%s\":%llu", name, static_cast<unsigned long long>(counters_.*member));
+  });
+  std::fprintf(f, "}\n");
   std::fclose(f);
 }
 

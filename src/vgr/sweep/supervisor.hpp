@@ -19,19 +19,9 @@ struct ShardSpec {
   std::uint64_t runs{1};
 };
 
-/// Execution budget the supervisor hands to a shard attempt. The degraded
-/// rung halves `runs` (min 1) and the event budget so a shard that cannot
-/// finish at full fidelity can still contribute a flagged partial result.
-struct ShardEffort {
-  std::uint64_t runs{1};
-  std::uint64_t run_max_events{0};   ///< per-run event watchdog; 0 = off
-  double run_wall_budget_s{0.0};     ///< per-run wall watchdog; 0 = off
-  bool degraded{false};
-};
-
 /// What one shard attempt produced. `payload` is an opaque JSON value the
-/// supervisor journals verbatim; the timeout counters drive the ladder
-/// (an attempt is clean only when no run tripped a watchdog and no
+/// supervisor journals verbatim; the timeout counters decide what happens
+/// next (an attempt is clean only when no run tripped a watchdog and no
 /// exception escaped the shard function).
 struct ShardOutcome {
   std::string payload;
@@ -50,10 +40,8 @@ struct SupervisorConfig {
   bool enabled{false};                        ///< supervised path on
   std::string journal_path{"sweep.journal"};
   bool resume{false};                         ///< journaled shards are not re-run
-  std::uint64_t max_retries{2};               ///< full-fidelity retries per shard
+  std::uint64_t max_retries{2};               ///< retries of a wall trip or an error
   double backoff_ms{50.0};                    ///< base retry backoff, doubled per retry
-  std::uint64_t run_max_events{0};            ///< per-run event watchdog; 0 = off
-  double run_wall_budget_s{0.0};              ///< per-run wall watchdog; 0 = off
   std::uint64_t seed_chunk{0};                ///< seeds per shard; 0 = one shard per point
   /// Crash-test hook: raise(SIGKILL) after this many journal appends
   /// (< 0 = disabled).
@@ -66,8 +54,7 @@ struct SweepCounters {
   std::uint64_t shards{0};      ///< shards presented to run_shard
   std::uint64_t completed{0};   ///< shards that produced a payload
   std::uint64_t resumed{0};     ///< shards satisfied from the journal
-  std::uint64_t retries{0};     ///< extra full-fidelity attempts spent
-  std::uint64_t degraded{0};    ///< shards that fell to the degraded rung
+  std::uint64_t retries{0};     ///< extra attempts spent
   std::uint64_t quarantined_events{0};
   std::uint64_t quarantined_wall{0};
   std::uint64_t quarantined_error{0};
@@ -75,23 +62,42 @@ struct SweepCounters {
   std::uint64_t timed_out_events{0};  ///< arm watchdog trips, all attempts
   std::uint64_t timed_out_wall{0};
 
+  /// The counter list: calls `fn(json_name, member_pointer)` once per field,
+  /// in the key order of the manifest and of the bench JSON `supervisor`
+  /// block; both writers walk it, so a new counter is one row here.
+  template <typename Fn>
+  static void for_each(Fn&& fn) {
+    fn("shards", &SweepCounters::shards);
+    fn("completed", &SweepCounters::completed);
+    fn("resumed", &SweepCounters::resumed);
+    fn("retries", &SweepCounters::retries);
+    fn("quarantined_events", &SweepCounters::quarantined_events);
+    fn("quarantined_wall", &SweepCounters::quarantined_wall);
+    fn("quarantined_error", &SweepCounters::quarantined_error);
+    fn("drained", &SweepCounters::drained);
+    fn("timed_out_events", &SweepCounters::timed_out_events);
+    fn("timed_out_wall", &SweepCounters::timed_out_wall);
+  }
+
   [[nodiscard]] std::uint64_t quarantined() const {
     return quarantined_events + quarantined_wall + quarantined_error;
   }
 };
 
 /// Crash-resilient sweep executor: journals every finished shard (fsync'd,
-/// checksummed), resumes by journal lookup, retries failing shards with
-/// exponential backoff, degrades fidelity when retries are exhausted, and
-/// quarantines shards that fail even degraded — all while SIGINT/SIGTERM
-/// request a graceful drain instead of killing the study mid-shard.
+/// checksummed) and resumes by journal lookup, while SIGINT/SIGTERM request
+/// a graceful drain instead of killing the study mid-shard. A failed shard
+/// is retried, with exponential backoff, only when another attempt can
+/// come out differently (a wall-clock trip or an exception); an event-budget
+/// trip repeats exactly under the same seeds, so it is quarantined at once.
+/// A shard always runs all its seeds: a point never merges a partial shard.
 ///
-/// With `config.enabled == false` the supervisor is transparent: run_shard
-/// executes the shard function once, full fidelity, no journal, no signal
-/// handlers — the unsupervised benches stay byte-identical.
+/// With `config.enabled == false` the supervisor opens no journal and
+/// installs no signal handlers; run_shard must not be called then
+/// (run_ab_supervised runs the point directly instead).
 class Supervisor {
  public:
-  using ShardFn = std::function<ShardOutcome(const ShardSpec&, const ShardEffort&)>;
+  using ShardFn = std::function<ShardOutcome(const ShardSpec&)>;
 
   explicit Supervisor(SupervisorConfig config);
   ~Supervisor();
@@ -116,7 +122,7 @@ class Supervisor {
   /// un-drains; tests need the flag back down between cases).
   static void reset_drain();
 
-  /// Runs one shard through the ladder. Returns the payload JSON text;
+  /// Runs one shard: journal lookup, then attempts. Returns the payload JSON text;
   /// nullopt when the shard was quarantined (now or in the journal) or
   /// skipped because a drain was requested.
   std::optional<std::string> run_shard(const ShardSpec& spec, const ShardFn& fn);
@@ -127,8 +133,8 @@ class Supervisor {
 
  private:
   std::optional<std::string> resume_from(const JournalRecord& rec);
-  void record(const ShardSpec& spec, const ShardOutcome& outcome,
-              const ShardEffort& effort, std::uint64_t attempts, const char* cause);
+  void record(const ShardSpec& spec, const char* status, std::uint64_t attempts,
+              const char* cause, const std::string& payload);
   void maybe_fault();
   void write_manifest() const;
 

@@ -56,33 +56,13 @@ Fidelity small_fidelity(std::uint64_t runs = 3) {
   return f;
 }
 
-TEST(Supervisor, DisabledModeRunsOnceAndKeepsDirtyResults) {
-  Supervisor sup{SupervisorConfig{}};  // enabled = false
-  ASSERT_TRUE(sup.ok());
-  int calls = 0;
-  auto payload = sup.run_shard(spec_named("s"), [&](const ShardSpec&, const ShardEffort& e) {
-    ++calls;
-    EXPECT_FALSE(e.degraded);
-    ShardOutcome o;
-    o.payload = "{\"v\":1}";
-    o.timed_out_events = 2;  // dirty — but transparent mode never retries
-    return o;
-  });
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, "{\"v\":1}");
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(sup.counters().completed, 1u);
-  EXPECT_EQ(sup.counters().retries, 0u);
-  EXPECT_EQ(sup.counters().timed_out_events, 2u);
-}
-
 TEST(Supervisor, CleanShardJournalsOnFirstAttempt) {
   const std::string journal = temp_journal("clean");
   cleanup(journal);
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    auto payload = sup.run_shard(spec_named("shard-a"), [](const ShardSpec&, const ShardEffort&) {
+    auto payload = sup.run_shard(spec_named("shard-a"), [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "{\"v\":42}";
       return o;
@@ -100,71 +80,91 @@ TEST(Supervisor, CleanShardJournalsOnFirstAttempt) {
   cleanup(journal);
 }
 
-TEST(Supervisor, LadderRetriesDegradesThenQuarantines) {
-  const std::string journal = temp_journal("ladder");
+TEST(Supervisor, EventTripQuarantinesWithoutRetry) {
+  const std::string journal = temp_journal("events");
   cleanup(journal);
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
     int calls = 0;
-    bool saw_degraded = false;
-    auto payload =
-        sup.run_shard(spec_named("poisoned", /*runs=*/4),
-                      [&](const ShardSpec&, const ShardEffort& e) {
-                        ++calls;
-                        if (e.degraded) {
-                          saw_degraded = true;
-                          EXPECT_EQ(e.runs, 2u);  // halved
-                        } else {
-                          EXPECT_EQ(e.runs, 4u);
-                        }
-                        ShardOutcome o;
-                        o.timed_out_events = 1;  // events-budget trip, every time
-                        return o;
-                      });
+    auto payload = sup.run_shard(spec_named("poisoned", /*runs=*/4), [&](const ShardSpec& s) {
+      ++calls;
+      EXPECT_EQ(s.runs, 4u);  // every attempt runs every seed
+      ShardOutcome o;
+      o.timed_out_events = 1;  // the same seeds trip the same budget again
+      return o;
+    });
     EXPECT_FALSE(payload.has_value());
-    // 1 initial + 2 retries (default) + 1 degraded.
-    EXPECT_EQ(calls, 4);
-    EXPECT_TRUE(saw_degraded);
-    EXPECT_EQ(sup.counters().retries, 2u);
-    EXPECT_EQ(sup.counters().degraded, 1u);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(sup.counters().retries, 0u);
     EXPECT_EQ(sup.counters().quarantined_events, 1u);
     EXPECT_EQ(sup.counters().completed, 0u);
-    EXPECT_EQ(sup.counters().timed_out_events, 4u);
+    EXPECT_EQ(sup.counters().timed_out_events, 1u);
   }
   const auto records = Journal::scan(journal);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].status, "quarantined");
+  EXPECT_EQ(records[0].fidelity, "full");
   EXPECT_EQ(records[0].cause, "events");
-  EXPECT_EQ(records[0].attempts, 4u);
+  EXPECT_EQ(records[0].attempts, 1u);
   EXPECT_EQ(records[0].payload, "null");
   cleanup(journal);
 }
 
-TEST(Supervisor, DegradedRungCanRescueAShard) {
+TEST(Supervisor, WallTripRetriesThenQuarantines) {
+  const std::string journal = temp_journal("wall");
+  cleanup(journal);
+  const SupervisorConfig config = test_config(journal);
+  {
+    Supervisor sup{config};
+    ASSERT_TRUE(sup.ok());
+    std::uint64_t calls = 0;
+    auto payload = sup.run_shard(spec_named("slow"), [&](const ShardSpec&) {
+      ++calls;
+      ShardOutcome o;
+      o.timed_out_wall = 1;  // host-dependent: another attempt may finish
+      return o;
+    });
+    EXPECT_FALSE(payload.has_value());
+    EXPECT_EQ(calls, 1 + config.max_retries);
+    EXPECT_EQ(sup.counters().retries, config.max_retries);
+    EXPECT_EQ(sup.counters().quarantined_wall, 1u);
+    EXPECT_EQ(sup.counters().quarantined(), 1u);
+  }
+  const auto records = Journal::scan(journal);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].status, "quarantined");
+  EXPECT_EQ(records[0].cause, "wall");
+  EXPECT_EQ(records[0].attempts, 1 + config.max_retries);
+  cleanup(journal);
+}
+
+TEST(Supervisor, RetryRescuesAWallTrip) {
   const std::string journal = temp_journal("rescue");
   cleanup(journal);
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  auto payload = sup.run_shard(spec_named("wobbly"), [](const ShardSpec&, const ShardEffort& e) {
+  int calls = 0;
+  auto payload = sup.run_shard(spec_named("wobbly"), [&](const ShardSpec&) {
     ShardOutcome o;
-    if (e.degraded) {
-      o.payload = "{\"rescued\":true}";
-    } else {
+    if (++calls == 1) {
       o.timed_out_wall = 1;
+    } else {
+      o.payload = "{\"rescued\":true}";
     }
     return o;
   });
   ASSERT_TRUE(payload.has_value());
   EXPECT_EQ(*payload, "{\"rescued\":true}");
-  EXPECT_EQ(sup.counters().degraded, 1u);
+  EXPECT_EQ(sup.counters().retries, 1u);
   EXPECT_EQ(sup.counters().completed, 1u);
   EXPECT_EQ(sup.counters().quarantined(), 0u);
   const JournalRecord* rec = sup.journal()->find("wobbly");
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->status, "done");
-  EXPECT_EQ(rec->fidelity, "degraded");
-  EXPECT_EQ(rec->cause, "wall");  // what drove the degradation
+  EXPECT_EQ(rec->fidelity, "full");
+  EXPECT_EQ(rec->attempts, 2u);
+  EXPECT_EQ(rec->cause, "none");
   cleanup(journal);
 }
 
@@ -173,8 +173,7 @@ TEST(Supervisor, ThrowingShardIsQuarantinedAsError) {
   cleanup(journal);
   Supervisor sup{test_config(journal)};
   ASSERT_TRUE(sup.ok());
-  auto payload = sup.run_shard(spec_named("buggy"), [](const ShardSpec&, const ShardEffort&)
-                                   -> ShardOutcome {
+  auto payload = sup.run_shard(spec_named("buggy"), [](const ShardSpec&) -> ShardOutcome {
     throw std::runtime_error{"boom"};
   });
   EXPECT_FALSE(payload.has_value());
@@ -188,12 +187,12 @@ TEST(Supervisor, ResumeReturnsJournaledPayloadWithoutRerunning) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("done-shard"), [](const ShardSpec&, const ShardEffort&) {
+    sup.run_shard(spec_named("done-shard"), [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "{\"v\":7}";
       return o;
     });
-    sup.run_shard(spec_named("dead-shard"), [](const ShardSpec&, const ShardEffort&) {
+    sup.run_shard(spec_named("dead-shard"), [](const ShardSpec&) {
       ShardOutcome o;
       o.timed_out_events = 1;
       return o;
@@ -203,7 +202,7 @@ TEST(Supervisor, ResumeReturnsJournaledPayloadWithoutRerunning) {
   config.resume = true;
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
-  auto must_not_run = [](const ShardSpec&, const ShardEffort&) -> ShardOutcome {
+  auto must_not_run = [](const ShardSpec&) -> ShardOutcome {
     ADD_FAILURE() << "journaled shard re-executed";
     return {};
   };
@@ -218,13 +217,47 @@ TEST(Supervisor, ResumeReturnsJournaledPayloadWithoutRerunning) {
   cleanup(journal);
 }
 
+TEST(Supervisor, ParentDegradedRecordResumesAsQuarantine) {
+  // Older binaries journaled a half-seed shard as done with fidelity
+  // "degraded"; a resume must not merge it into a point as if it were whole.
+  const std::string journal = temp_journal("parent_degraded");
+  cleanup(journal);
+  {
+    auto j = Journal::open(journal);
+    ASSERT_TRUE(j.has_value());
+    JournalRecord rec;
+    rec.shard = "half";
+    rec.status = "done";
+    rec.fidelity = "degraded";
+    rec.attempts = 4;
+    rec.cause = "events";
+    rec.payload = "{\"v\":1}";
+    j->append(rec);
+  }
+  SupervisorConfig config = test_config(journal);
+  config.resume = true;
+  Supervisor sup{config};
+  ASSERT_TRUE(sup.ok());
+  int calls = 0;
+  auto payload = sup.run_shard(spec_named("half"), [&](const ShardSpec&) {
+    ++calls;
+    return ShardOutcome{};
+  });
+  EXPECT_FALSE(payload.has_value());
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(sup.counters().resumed, 1u);
+  EXPECT_EQ(sup.counters().quarantined_events, 1u);
+  EXPECT_EQ(sup.counters().completed, 0u);
+  cleanup(journal);
+}
+
 TEST(Supervisor, RefusesANonEmptyJournalWithoutResume) {
   const std::string journal = temp_journal("refuse");
   cleanup(journal);
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("s"), [](const ShardSpec&, const ShardEffort&) {
+    sup.run_shard(spec_named("s"), [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "null";
       return o;
@@ -243,7 +276,7 @@ TEST(Supervisor, DrainSkipsShardsWithoutJournaling) {
     ASSERT_TRUE(sup.ok());
     Supervisor::request_drain();
     int calls = 0;
-    auto payload = sup.run_shard(spec_named("skipped"), [&](const ShardSpec&, const ShardEffort&) {
+    auto payload = sup.run_shard(spec_named("skipped"), [&](const ShardSpec&) {
       ++calls;
       return ShardOutcome{};
     });
@@ -262,7 +295,7 @@ TEST(Supervisor, ManifestRecordsTheCounters) {
   {
     Supervisor sup{test_config(journal)};
     ASSERT_TRUE(sup.ok());
-    sup.run_shard(spec_named("s"), [](const ShardSpec&, const ShardEffort&) {
+    sup.run_shard(spec_named("s"), [](const ShardSpec&) {
       ShardOutcome o;
       o.payload = "null";
       return o;
@@ -398,22 +431,46 @@ TEST(AbSweep, SeedChunkedShardsMergeToTheMonolithicResult) {
   }
 }
 
-TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
-  const std::string journal = temp_journal("poison");
+TEST(AbSweep, DisabledSupervisorIsTheDirectRun) {
+  const std::string journal = temp_journal("disabled");
   cleanup(journal);
-  SupervisorConfig config = test_config(journal);
-  config.max_retries = 1;
-  config.run_max_events = 50;  // unsatisfiable: every run trips the breaker
+  SupervisorConfig config;  // enabled = false
+  config.journal_path = journal;
   Supervisor sup{config};
   ASSERT_TRUE(sup.ok());
 
   HighwayConfig cfg;
   cfg.attack = scenario::AttackKind::kInterArea;
-  const Fidelity f = small_fidelity(/*runs=*/2);
+  Fidelity f = small_fidelity(/*runs=*/2);
+  f.run_max_events = 50;  // every run trips; the direct run keeps the partial result
+  const AbResult direct = scenario::run_inter_area_ab(cfg, f);
+  const SupervisedAb supervised = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_TRUE(ab_equal(direct, supervised.result));
+  EXPECT_GT(supervised.result.timed_out_runs, 0u);
+  EXPECT_TRUE(supervised.complete());
+  SweepCounters::for_each([&](const char* name, auto member) {
+    EXPECT_EQ(sup.counters().*member, 0u) << name;
+  });
+  sup.finish();
+  EXPECT_FALSE(std::filesystem::exists(journal));
+  EXPECT_FALSE(std::filesystem::exists(journal + ".manifest"));
+}
+
+TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
+  const std::string journal = temp_journal("poison");
+  cleanup(journal);
+  Supervisor sup{test_config(journal)};
+  ASSERT_TRUE(sup.ok());
+
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  Fidelity poison = small_fidelity(/*runs=*/2);
+  poison.run_max_events = 50;  // unsatisfiable: every run trips the breaker
   const SupervisedAb poisoned =
-      run_ab_supervised(sup, Experiment::kInterArea, "poisoned-pt", cfg, f);
+      run_ab_supervised(sup, Experiment::kInterArea, "poisoned-pt", cfg, poison);
   EXPECT_FALSE(poisoned.complete());
   EXPECT_EQ(sup.counters().quarantined_events, 1u);
+  EXPECT_EQ(sup.counters().retries, 0u);
   EXPECT_GT(sup.counters().timed_out_events, 0u);
 
   // A second supervisor call on the same sweep continues past the poison.
@@ -422,13 +479,42 @@ TEST(AbSweep, PoisonedPointIsQuarantinedWhileOthersComplete) {
   Supervisor sup2{healthy};
   ASSERT_TRUE(sup2.ok());
   const SupervisedAb good =
-      run_ab_supervised(sup2, Experiment::kInterArea, "good-pt", cfg, f);
+      run_ab_supervised(sup2, Experiment::kInterArea, "good-pt", cfg, small_fidelity(2));
   EXPECT_TRUE(good.complete());
   EXPECT_GT(good.result.baseline_reception, 0.0);
   const auto records = Journal::scan(journal);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].status, "quarantined");
+  EXPECT_EQ(records[0].attempts, 1u);  // an event trip is not retried
   EXPECT_EQ(records[1].status, "done");
+  cleanup(journal);
+}
+
+TEST(AbSweep, ResumeUnderAnotherWatchdogReRunsTheShard) {
+  // The watchdog budget is part of the shard key: a quarantine recorded
+  // under one budget does not stick to a sweep resumed under another.
+  const std::string journal = temp_journal("rewatch");
+  cleanup(journal);
+  HighwayConfig cfg;
+  cfg.attack = scenario::AttackKind::kInterArea;
+  Fidelity f = small_fidelity(/*runs=*/2);
+  {
+    f.run_max_events = 50;
+    Supervisor sup{test_config(journal)};
+    ASSERT_TRUE(sup.ok());
+    EXPECT_FALSE(run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f).complete());
+    EXPECT_EQ(sup.counters().quarantined_events, 1u);
+  }
+  f.run_max_events = 0;
+  SupervisorConfig config = test_config(journal);
+  config.resume = true;
+  Supervisor sup{config};
+  ASSERT_TRUE(sup.ok());
+  const SupervisedAb resumed = run_ab_supervised(sup, Experiment::kInterArea, "pt", cfg, f);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(sup.counters().resumed, 0u);
+  EXPECT_EQ(sup.counters().completed, 1u);
+  EXPECT_TRUE(ab_equal(scenario::run_inter_area_ab(cfg, f), resumed.result));
   cleanup(journal);
 }
 
@@ -442,6 +528,12 @@ TEST(AbSweep, ShardKeyPinsLabelSeedsAndFidelity) {
   Fidelity g = f;
   g.sim_seconds = 4.0;
   EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 0, 4));  // fidelity
+  g = f;
+  g.run_max_events = 50;
+  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 0, 4));  // event watchdog
+  g = f;
+  g.run_wall_budget_s = 5.0;
+  EXPECT_NE(a, shard_key("pt", Experiment::kInterArea, g, 0, 4));  // wall watchdog
   // Run knobs change the channel model, so they change the key; no run knob
   // set keeps the historical key, which existing journals were written under.
   const auto with_env = [&f](const char* entry) {

@@ -55,18 +55,16 @@ bool parse_levels(const char* arg, std::vector<double>& out) {
 int status(const std::string& journal_path) {
   std::size_t torn = 0;
   const std::vector<sweep::JournalRecord> records = sweep::Journal::scan(journal_path, &torn);
-  std::size_t done = 0, quarantined = 0, degraded = 0;
+  std::size_t done = 0, quarantined = 0;
   for (const sweep::JournalRecord& rec : records) {
     if (rec.status == "quarantined") {
       ++quarantined;
     } else {
       ++done;
     }
-    if (rec.fidelity == "degraded") ++degraded;
   }
   std::printf("journal: %s\n", journal_path.c_str());
-  std::printf("records: %zu done, %zu quarantined (%zu degraded)\n", done, quarantined,
-              degraded);
+  std::printf("records: %zu done, %zu quarantined\n", done, quarantined);
   if (torn > 0) {
     std::printf("torn tail: %zu byte(s) — a resume will truncate them\n", torn);
   }
