@@ -16,23 +16,6 @@ using scenario::AbResult;
 using scenario::Fidelity;
 using scenario::HighwayConfig;
 
-namespace {
-
-double inter_attacked_reception(HighwayConfig cfg, const Fidelity& fidelity) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-  cfg.attack = scenario::AttackKind::kInterArea;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-    hits += r.overall_reception() * static_cast<double>(r.packets.size());
-    total += static_cast<double>(r.packets.size());
-  }
-  return total > 0.0 ? hits / total : 0.0;
-}
-
-}  // namespace
-
 int main() {
   const Fidelity fidelity = sweep::knobs_from_env(2).fidelity;
   bench::banner("Ablations", "design-choice studies beyond the paper's figures", fidelity);
@@ -57,20 +40,10 @@ int main() {
   std::printf("\nAblation 2 — beacon period vs attacker-free GF reception\n");
   for (const double period : {1.0, 3.0, 6.0, 10.0}) {
     HighwayConfig cfg;
-    if (fidelity.sim_seconds > 0.0) {
-      cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-    }
     cfg.attack_range_m = ranges.nlos_worst_m;
     cfg.beacon_interval = sim::Duration::seconds(period);
-    double hits = 0.0, total = 0.0;
-    for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-      cfg.seed = run + 1;
-      const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-      hits += r.overall_reception() * static_cast<double>(r.packets.size());
-      total += static_cast<double>(r.packets.size());
-    }
     std::printf("  beacon period %4.0f s: attacker-free reception = %.3f\n", period,
-                total > 0.0 ? hits / total : 0.0);
+                run_inter_area_ab(cfg, fidelity).baseline_reception);
   }
 
   // 3. Plausibility threshold sweep under the mN attacker.
@@ -81,7 +54,7 @@ int main() {
     cfg.mitigation = mitigation::Profile::kPlausibilityCheck;
     cfg.mitigation_params.plausibility_threshold_m = threshold;
     std::printf("  threshold %4.0f m: attacked reception = %.3f\n", threshold,
-                inter_attacked_reception(cfg, fidelity));
+                run_inter_area_ab(cfg, fidelity).attacked_reception);
   }
 
   // 4. Extrapolation on/off.
@@ -92,13 +65,15 @@ int main() {
     cfg.mitigation = mitigation::Profile::kPlausibilityCheck;
     cfg.mitigation_params.extrapolate = extrapolate;
     std::printf("  extrapolation %-3s: attacked reception = %.3f\n", extrapolate ? "on" : "off",
-                inter_attacked_reception(cfg, fidelity));
+                run_inter_area_ab(cfg, fidelity).attacked_reception);
   }
 
   // 5. The ACK alternative the paper's §V-A dismisses: per-hop
   //    acknowledgements also recover reception under attack, but at a
   //    measurable airtime cost. We report reception and channel overhead
-  //    for {nothing, ACKs, plausibility check}.
+  //    for {nothing, ACKs, plausibility check}. AbResult carries no frame
+  //    count, so this loop runs serially at the fixed config (run knobs
+  //    other than VGR_RUNS / VGR_SIM_SECONDS do not reach it).
   std::printf("\nAblation 5 — ACK'd forwarding vs plausibility check (mN attacker)\n");
   {
     struct Arm {

@@ -10,42 +10,32 @@
 #include "vgr/scenario/highway.hpp"
 
 using namespace vgr;
+using scenario::AbResult;
 using scenario::Fidelity;
 using scenario::HighwayConfig;
 
 namespace {
 
-/// Merged reception over `runs` paired seeds for one (attack, mitigation)
-/// arm of the inter-area experiment.
-double inter_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-  cfg.attack = attacked ? scenario::AttackKind::kInterArea : scenario::AttackKind::kNone;
+struct Setting {
+  const char* label;
+  double range_m;
+};
+
+/// One A/B call per (attack range, mitigation): the attacked arm runs the
+/// interceptor, the baseline arm the same mitigated config without it.
+AbResult inter_ab(double range_m, bool mitigated, const Fidelity& fidelity) {
+  HighwayConfig cfg;
+  cfg.attack_range_m = range_m;
   cfg.mitigation =
       mitigated ? mitigation::Profile::kPlausibilityCheck : mitigation::Profile::kNone;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_inter_area();
-    hits += r.overall_reception() * static_cast<double>(r.packets.size());
-    total += static_cast<double>(r.packets.size());
-  }
-  return total > 0.0 ? hits / total : 0.0;
+  return scenario::run_inter_area_ab(cfg, fidelity);
 }
 
-double intra_arm(HighwayConfig cfg, const Fidelity& fidelity, bool attacked, bool mitigated) {
-  if (fidelity.sim_seconds > 0.0) cfg.sim_duration = sim::Duration::seconds(fidelity.sim_seconds);
-  cfg.attack = attacked ? scenario::AttackKind::kIntraArea : scenario::AttackKind::kNone;
+AbResult intra_ab(double range_m, bool mitigated, const Fidelity& fidelity) {
+  HighwayConfig cfg;
+  cfg.attack_range_m = range_m;
   cfg.mitigation = mitigated ? mitigation::Profile::kRhlDropCheck : mitigation::Profile::kNone;
-  double hits = 0.0, total = 0.0;
-  for (std::uint64_t run = 0; run < fidelity.runs; ++run) {
-    cfg.seed = run + 1;
-    const auto r = scenario::HighwayScenario{cfg}.run_intra_area();
-    for (const auto& fl : r.floods) {
-      hits += static_cast<double>(fl.reached);
-      total += static_cast<double>(fl.total);
-    }
-  }
-  return total > 0.0 ? hits / total : 0.0;
+  return scenario::run_intra_area_ab(cfg, fidelity);
 }
 
 }  // namespace
@@ -58,47 +48,38 @@ int main() {
 
   std::printf("\nFig 14a — GF plausibility check (threshold %.0f m, extrapolating)\n",
               ranges.nlos_median_m);
-  struct Setting {
-    const char* label;
-    double range_m;
-  } settings[] = {
+  const Setting settings[] = {
       {"wN attacker", ranges.nlos_worst_m},
       {"mN attacker", ranges.nlos_median_m},
       {"mL attacker", ranges.los_median_m},
   };
-  for (const auto& s : settings) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = s.range_m;
-    const double plain = inter_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/false);
-    const double fixed = inter_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/true);
+  // The attacker-free row is the baseline arm of the wN runs.
+  double free_plain = 0.0, free_fixed = 0.0;
+  for (const Setting& s : settings) {
+    const AbResult plain = inter_ab(s.range_m, /*mitigated=*/false, fidelity);
+    const AbResult fixed = inter_ab(s.range_m, /*mitigated=*/true, fidelity);
     std::printf("  %-14s recv (attacked) = %5.3f -> %5.3f with check  (+%.1f pp)\n", s.label,
-                plain, fixed, (fixed - plain) * 100.0);
+                plain.attacked_reception, fixed.attacked_reception,
+                (fixed.attacked_reception - plain.attacked_reception) * 100.0);
+    if (&s == &settings[0]) {
+      free_plain = plain.baseline_reception;
+      free_fixed = fixed.baseline_reception;
+    }
   }
-  {
-    HighwayConfig cfg;
-    cfg.attack_range_m = ranges.nlos_worst_m;  // geometry only; no attacker deployed
-    const double plain = inter_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/false);
-    const double fixed = inter_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/true);
-    std::printf("  %-14s recv (no attack) = %5.3f -> %5.3f with check  (+%.1f pp)\n",
-                "attacker-free", plain, fixed, (fixed - plain) * 100.0);
-  }
+  std::printf("  %-14s recv (no attack) = %5.3f -> %5.3f with check  (+%.1f pp)\n",
+              "attacker-free", free_plain, free_fixed, (free_fixed - free_plain) * 100.0);
 
   std::printf("\nFig 14b — CBF RHL-drop check (threshold 3)\n");
-  struct IntraSetting {
-    const char* label;
-    double range_m;
-  } intra_settings[] = {
+  const Setting intra_settings[] = {
       {"wN attacker", ranges.nlos_worst_m},
       {"mN attacker", ranges.nlos_median_m},
   };
-  for (const auto& s : intra_settings) {
-    HighwayConfig cfg;
-    cfg.attack_range_m = s.range_m;
-    const double af = intra_arm(cfg, fidelity, /*attacked=*/false, /*mitigated=*/false);
-    const double plain = intra_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/false);
-    const double fixed = intra_arm(cfg, fidelity, /*attacked=*/true, /*mitigated=*/true);
+  for (const Setting& s : intra_settings) {
+    const AbResult plain = intra_ab(s.range_m, /*mitigated=*/false, fidelity);
+    const AbResult fixed = intra_ab(s.range_m, /*mitigated=*/true, fidelity);
     std::printf("  %-14s recv: af = %5.3f, attacked = %5.3f, attacked+check = %5.3f\n",
-                s.label, af, plain, fixed);
+                s.label, plain.baseline_reception, plain.attacked_reception,
+                fixed.attacked_reception);
   }
 
   std::printf("\npaper reference: 14a recovers +53.7%% / +61.6%% / +53.4%% (wN/mN/mL) and\n"

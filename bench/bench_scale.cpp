@@ -4,7 +4,7 @@
 //     vs off, to show the O(N^2) -> O(N*k) crossover of per-frame delivery
 //     cost as the road fills up.
 //  2. Harness scaling: the same paired A/B experiment executed with the
-//     serial path (VGR_THREADS=1) and with the work-stealing pool, proving
+//     serial path (VGR_THREADS=1) and with the fork-join pool, proving
 //     the merged results are bit-identical and reporting the wall-clock
 //     speedup.
 //

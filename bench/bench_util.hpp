@@ -20,8 +20,7 @@ inline void banner(const char* artifact, const char* description,
   std::printf("%s — %s\n", artifact, description);
   const double secs =
       fidelity.sim_seconds > 0.0 ? fidelity.sim_seconds : default_sim_seconds;
-  const std::size_t threads =
-      fidelity.threads > 0 ? fidelity.threads : sim::ThreadPool::hardware_threads();
+  const std::size_t threads = sim::ThreadPool{fidelity.threads}.thread_count();
   std::printf("fidelity: %llu run(s) x %.0f simulated seconds per arm, %zu thread(s) "
               "(override: VGR_RUNS / VGR_SIM_SECONDS / VGR_THREADS; paper: 100 x 200)\n",
               static_cast<unsigned long long>(fidelity.runs), secs, threads);

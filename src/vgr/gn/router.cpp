@@ -177,7 +177,7 @@ net::SequenceNumber Router::send_geo_broadcast(const geo::GeoArea& area, net::By
     // contend via CBF (paper §II).
     transmit(msg, net::MacAddress::broadcast());
   } else {
-    gf_route(std::move(msg), area.center(), /*allow_buffer=*/true);
+    gf_route(std::move(msg), area.center());
   }
   return sn;
 }
@@ -207,8 +207,7 @@ net::SequenceNumber Router::send_geo_unicast(net::GnAddress destination,
 
   duplicates_.check_and_record(p);
   ++stats_.guc_originated;
-  gf_route(security::share(security::SecuredMessage::sign(p, signer_)), dest_pos,
-           /*allow_buffer=*/true);
+  gf_route(security::share(security::SecuredMessage::sign(p, signer_)), dest_pos);
   return sn;
 }
 
@@ -514,7 +513,7 @@ void Router::handle_gbc(const security::SecuredMessagePtr& msg, const phy::Frame
   if (inside) {
     cbf_contend(std::move(forward), received_rhl, frame);
   } else {
-    gf_route(std::move(forward), p.gbc()->area.center(), /*allow_buffer=*/true);
+    gf_route(std::move(forward), p.gbc()->area.center());
   }
 }
 
@@ -538,8 +537,7 @@ void Router::handle_guc(const security::SecuredMessagePtr& msg, const phy::Frame
   if (const auto entry = loc_table_.find(guc.destination.address, events_.now())) {
     dest_pos = entry->pv.position;
   }
-  gf_route(security::share(msg->with_remaining_hop_limit(received_rhl - 1)), dest_pos,
-           /*allow_buffer=*/true);
+  gf_route(security::share(msg->with_remaining_hop_limit(received_rhl - 1)), dest_pos);
 }
 
 void Router::cbf_contend(security::SecuredMessagePtr msg, std::uint8_t received_rhl,
@@ -582,10 +580,9 @@ void Router::cbf_contend(security::SecuredMessagePtr msg, std::uint8_t received_
       expiry);
 }
 
-void Router::gf_route(security::SecuredMessagePtr msg, geo::Position destination,
-                      bool allow_buffer, const std::unordered_set<net::GnAddress>* exclude) {
+void Router::gf_route(security::SecuredMessagePtr msg, geo::Position destination) {
   const auto selection = select_next_hop(loc_table_, address_, mobility_.position(), destination,
-                                         events_.now(), gf_policy(), exclude);
+                                         events_.now(), gf_policy());
   if (selection) {
     transmit(msg, selection->next_hop.address.mac());
     ++stats_.gf_unicast_forwards;
@@ -608,15 +605,13 @@ void Router::gf_route(security::SecuredMessagePtr msg, geo::Position destination
       transmit(msg, net::MacAddress::broadcast());
       ++stats_.gf_broadcast_fallbacks;
       return;
-    case GfFallback::kBuffer:
-      if (allow_buffer) {
-        const sim::TimePoint expiry = scf_expiry(msg->packet());
-        scf_.push(std::move(msg), destination, expiry);
-        ++stats_.gf_buffered;
-        schedule_gf_retry();
-        return;
-      }
-      [[fallthrough]];
+    case GfFallback::kBuffer: {
+      const sim::TimePoint expiry = scf_expiry(msg->packet());
+      scf_.push(std::move(msg), destination, expiry);
+      ++stats_.gf_buffered;
+      schedule_gf_retry();
+      return;
+    }
     case GfFallback::kDrop:
       ++stats_.gf_drops;
       return;

@@ -244,9 +244,7 @@ class Router {
 
   /// Routes `msg` (a GBC/GUC whose RHL is already decremented) toward
   /// `destination` with Greedy Forwarding, applying the configured fallback.
-  /// `exclude` removes unresponsive hops during ACK retries.
-  void gf_route(security::SecuredMessagePtr msg, geo::Position destination, bool allow_buffer,
-                const std::unordered_set<net::GnAddress>* exclude = nullptr);
+  void gf_route(security::SecuredMessagePtr msg, geo::Position destination);
 
   void cbf_contend(security::SecuredMessagePtr msg, std::uint8_t received_rhl,
                    const phy::Frame& frame);

@@ -1,69 +1,38 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace vgr::sim {
 
-/// Small work-stealing thread pool for run-level parallelism.
-///
-/// Each worker owns a deque: it pushes/pops its own tasks at the back (LIFO,
-/// cache-friendly) and steals from other workers' fronts (FIFO, coarse
-/// tasks first). External submitters round-robin across the deques. The
-/// simulator itself stays single-threaded — the unit of parallelism is one
-/// whole scenario run, which owns all of its state — so the pool needs no
-/// shared-state discipline from its tasks beyond the usual "don't touch
-/// globals".
-///
-/// `parallel_for` is the only entry point the experiment harness uses: it
-/// blocks until every index has been processed, and the caller thread works
-/// too, so a 1-thread pool degrades to a plain serial loop.
+/// Fork-join pool for run-level parallelism. The simulator itself stays
+/// single-threaded: the unit of parallelism is one whole scenario run, which
+/// owns all of its state, so tasks need no discipline beyond "don't touch
+/// globals". Constructing a pool starts no thread; each `parallel_for`
+/// starts its helpers and joins them before it returns.
 class ThreadPool {
  public:
-  /// Creates `threads` workers. 0 picks `hardware_threads()`.
+  /// At most `threads` concurrent calls, the caller's included. 0 picks
+  /// `hardware_threads()`.
   explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  /// Concurrent calls per `parallel_for` (>= 1).
+  [[nodiscard]] std::size_t thread_count() const { return threads_; }
 
-  /// Worker count (>= 1).
-  [[nodiscard]] std::size_t thread_count() const { return queues_.size(); }
-
-  /// Enqueues one task.
-  void submit(std::function<void()> task);
-
-  /// Runs `fn(i)` for every i in [0, n), distributing across the workers
-  /// and the calling thread; returns when all n calls have completed.
-  /// Exceptions escaping `fn` terminate (tasks must be noexcept in spirit).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Runs `fn(i)` for every i in [0, n). The caller and min(n, threads) - 1
+  /// helper threads pull indices from one shared counter; with one thread
+  /// this is the plain in-order loop. Helpers are joined before the call
+  /// returns, also when `fn` throws on the caller (the exception then
+  /// propagates after every other index ran). An exception escaping `fn` on
+  /// a helper terminates.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   /// Physical hardware concurrency; never 0 (an unknown count reports as
   /// 1). Benches use this to flag ladder rows that oversubscribe the host.
   static std::size_t hardware_threads();
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void worker_loop(std::size_t self);
-  /// Pops a task for worker `self`: own queue back first, then steals from
-  /// the front of the others. Returns an empty function when none found.
-  std::function<void()> take(std::size_t self);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  std::size_t next_queue_{0};
-  bool stop_{false};
+  std::size_t threads_;
 };
 
 }  // namespace vgr::sim

@@ -22,6 +22,11 @@ struct JournalRecord {
   std::uint64_t attempts{1};  ///< executions the supervisor spent on the shard
   std::string cause;     ///< last failure cause: "none", "events", "wall", "error"
   std::string payload;   ///< JSON value text; "null" for quarantined shards
+
+  /// True when a resume merges this record's payload; every other record
+  /// counts as a quarantine of its `cause`. `vgr_sweep status` uses the
+  /// same test, so it reports exactly what a resume merges.
+  [[nodiscard]] bool merges() const { return status == "done" && fidelity != "degraded"; }
 };
 
 /// Append-only, checksummed JSONL journal of completed sweep shards.

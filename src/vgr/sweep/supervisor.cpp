@@ -146,7 +146,7 @@ std::optional<std::string> Supervisor::resume_from(const JournalRecord& rec) {
   // make resumed output depend on how often the sweep crashed. A "degraded"
   // record, a half-seed shard written by an older binary, is a quarantine
   // of its cause too: a point never merges a partial shard.
-  if (rec.status == "quarantined" || rec.fidelity == "degraded") {
+  if (!rec.merges()) {
     ++quarantined_for(counters_, rec.cause);
     return std::nullopt;
   }

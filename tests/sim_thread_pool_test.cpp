@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -44,16 +46,52 @@ TEST(ThreadPool, MoreTasksThanThreadsAndViceVersa) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
-TEST(ThreadPool, SubmitRunsDetachedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 10; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-    // Destructor note: tasks may or may not all run before stop; drain by
-    // spinning here while the pool is alive.
-    while (ran.load() < 10) std::this_thread::yield();
+TEST(ThreadPool, NeverRunsMoreThanThreadCount) {
+  // The caller counts as one of the `threads`: a k-thread pool must never
+  // have more than k calls in flight, or VGR_THREADS=cores oversubscribes.
+  for (const std::size_t k : {2u, 4u}) {
+    ThreadPool pool{k};
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> peak{0};
+    pool.parallel_for(3 * k, [&](std::size_t) {
+      const std::size_t now = ++in_flight;
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      --in_flight;
+    });
+    EXPECT_LE(peak.load(), k) << "threads=" << k;
+    EXPECT_GE(peak.load(), 2u) << "threads=" << k;
   }
-  EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, CallerExceptionJoinsHelpersFirst) {
+  // Only the calling thread throws. parallel_for may rethrow only after its
+  // helpers are joined: by then every other index has run, and none of
+  // them can still be touching `fn` or this frame.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCount = 32;
+  ThreadPool pool{kThreads};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_took_one{false};
+  std::vector<std::atomic<int>> done(kCount);
+  EXPECT_THROW(pool.parallel_for(kCount,
+                                 [&](std::size_t i) {
+                                   if (std::this_thread::get_id() == caller) {
+                                     caller_took_one = true;
+                                     throw std::runtime_error{"caller"};
+                                   }
+                                   // Hold each helper on its first index until
+                                   // the caller has one, so the caller throws.
+                                   while (!caller_took_one) std::this_thread::yield();
+                                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                                   done[i].fetch_add(1);
+                                 }),
+               std::runtime_error);
+  int ran = 0;
+  for (const auto& d : done) ran += d.load();
+  EXPECT_EQ(ran, static_cast<int>(kCount) - 1);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // health block, which legitimately differs). Covered at VGR_THREADS=1 and 4
 // because the determinism contract must hold under run-level parallelism.
 //
+// `vgr_sweep status` is driven here too, against a hand-written journal.
+//
 // The binary path is injected at configure time (VGR_SWEEP_BIN, see
 // tests/CMakeLists.txt).
 
@@ -14,11 +16,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "vgr/sweep/journal.hpp"
 
 namespace {
 
@@ -137,6 +142,33 @@ TEST(SweepKillResume, ResumedSweepMatchesUninterruptedRun) {
   // The determinism contract also holds across thread counts: the full
   // artifacts (supervisor block included — nothing was killed) agree.
   EXPECT_EQ(serial, parallel);
+}
+
+TEST(SweepStatus, CountsWhatAResumeMerges) {
+  // A resume merges only the done/full record: the quarantined one is
+  // sticky, and a done record with fidelity "degraded" (a half-seed shard
+  // written by an older binary) counts as a quarantine of its cause.
+  const SweepFiles files{temp_file("status_j"), temp_file("status_o")};
+  cleanup(files);
+  {
+    auto journal = vgr::sweep::Journal::open(files.journal);
+    ASSERT_TRUE(journal.has_value());
+    journal->append({.shard = "whole", .status = "done", .fidelity = "full", .attempts = 1,
+                     .cause = "none", .payload = "{\"v\":1}"});
+    journal->append({.shard = "half", .status = "done", .fidelity = "degraded", .attempts = 4,
+                     .cause = "events", .payload = "{\"v\":2}"});
+    journal->append({.shard = "poisoned", .status = "quarantined", .fidelity = "full",
+                     .attempts = 1, .cause = "events", .payload = "null"});
+  }
+  const std::string command = std::string{VGR_SWEEP_BIN} + " status --journal " + files.journal;
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  EXPECT_EQ(::pclose(pipe), 0);
+  EXPECT_NE(out.find("records: 1 done, 2 quarantined\n"), std::string::npos) << out;
+  cleanup(files);
 }
 
 }  // namespace

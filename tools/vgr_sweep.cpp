@@ -56,11 +56,12 @@ int status(const std::string& journal_path) {
   std::size_t torn = 0;
   const std::vector<sweep::JournalRecord> records = sweep::Journal::scan(journal_path, &torn);
   std::size_t done = 0, quarantined = 0;
+  // Counted as a resume treats them: an old "degraded" record is quarantined.
   for (const sweep::JournalRecord& rec : records) {
-    if (rec.status == "quarantined") {
-      ++quarantined;
-    } else {
+    if (rec.merges()) {
       ++done;
+    } else {
+      ++quarantined;
     }
   }
   std::printf("journal: %s\n", journal_path.c_str());
