@@ -46,7 +46,7 @@ void run_case(double sim_seconds, HazardConfig::Case mode, const char* title) {
     std::printf("  %-8.0f %-10.0f %-10.0f\n", af.vehicles_over_time[i].first,
                 af.vehicles_over_time[i].second, atk_n);
   }
-  std::printf("  final on-road count: af=%.0f, atk=%.0f (+%.0f vehicles jammed)\n",
+  std::printf("  final on-road count: af=%.0f, atk=%.0f (%+.0f vehicles jammed)\n",
               af.final_vehicle_count, atk.final_vehicle_count,
               atk.final_vehicle_count - af.final_vehicle_count);
 }

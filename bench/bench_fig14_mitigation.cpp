@@ -58,7 +58,7 @@ int main() {
   for (const Setting& s : settings) {
     const AbResult plain = inter_ab(s.range_m, /*mitigated=*/false, fidelity);
     const AbResult fixed = inter_ab(s.range_m, /*mitigated=*/true, fidelity);
-    std::printf("  %-14s recv (attacked) = %5.3f -> %5.3f with check  (+%.1f pp)\n", s.label,
+    std::printf("  %-14s recv (attacked) = %5.3f -> %5.3f with check  (%+.1f pp)\n", s.label,
                 plain.attacked_reception, fixed.attacked_reception,
                 (fixed.attacked_reception - plain.attacked_reception) * 100.0);
     if (&s == &settings[0]) {
@@ -66,7 +66,7 @@ int main() {
       free_fixed = fixed.baseline_reception;
     }
   }
-  std::printf("  %-14s recv (no attack) = %5.3f -> %5.3f with check  (+%.1f pp)\n",
+  std::printf("  %-14s recv (no attack) = %5.3f -> %5.3f with check  (%+.1f pp)\n",
               "attacker-free", free_plain, free_fixed, (free_fixed - free_plain) * 100.0);
 
   std::printf("\nFig 14b — CBF RHL-drop check (threshold 3)\n");

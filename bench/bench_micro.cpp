@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,76 @@ void BM_LocationTableUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocationTableUpdate)->Arg(64)->Arg(512);
+
+// The location-table writes of the dense intra-area flood (7.5 m spacing),
+// sized like the flood instead of one warm table: a ring of 1070 stations,
+// each table holding the ~240 peers it hears, and every transmission
+// refreshing the sender's row in each receiver's table, one receiver after
+// the other as its deliveries fire. In a scenario the event loop's work
+// between two receptions keeps their refreshes from overlapping; here each
+// update reads its row first and the next table's address takes a data
+// dependency on that read, so /0 pays every table's miss chain (table,
+// index slot, row) in turn. /1 first runs the two-stage hint the medium
+// issues after its fan-out (LocationTable::prefetch, stage 0 then stage 1
+// over all receivers). ns/op is per update with the hint amortised into it;
+// compare /0 with the in-scenario cost per update (docs/performance.md,
+// "Fan-out prefetch").
+void BM_LocationTableFanOut(benchmark::State& state) {
+  constexpr std::uint32_t kStations = 1070;
+  constexpr std::uint32_t kHeard = 120;  // peers heard on each side
+  const bool hint = state.range(0) != 0;
+  sim::Rng rng{11};
+  sim::TimePoint now = sim::TimePoint::at(sim::Duration::seconds(1.0));
+  // One heap object per station, reserved like a router's table.
+  std::vector<std::unique_ptr<gn::LocationTable>> tables;
+  for (std::uint32_t i = 0; i < kStations; ++i) {
+    tables.push_back(std::make_unique<gn::LocationTable>(sim::Duration::seconds(20.0)));
+    tables.back()->reserve(128);
+  }
+  // Every station transmits once, in a scattered order (577 is coprime to
+  // 1070), so each table holds its 240 peers in no particular row order.
+  std::vector<std::uint32_t> receivers;
+  net::LongPositionVector pv;
+  const auto fan_out = [&](std::uint32_t sender) {
+    receivers.clear();
+    for (std::uint32_t d = kStations - kHeard; d <= kStations + kHeard; ++d) {
+      if (d != kStations) receivers.push_back((sender + d) % kStations);
+    }
+    pv.address = net::GnAddress{net::GnAddress::StationType::kPassengerCar,
+                                net::MacAddress{std::uint64_t{sender} + 1}};
+    pv.timestamp = now;
+    pv.position = {7.5 * sender, 2.5};
+  };
+  for (std::uint32_t k = 0; k < kStations; ++k) {
+    fan_out(k * 577 % kStations);
+    for (const std::uint32_t r : receivers) tables[r]->update(pv, now, true);
+    now = now + sim::Duration::millis(1);
+  }
+
+  std::size_t next = receivers.size();
+  std::int64_t opaque_zero = 0;
+  benchmark::DoNotOptimize(opaque_zero);
+  std::int64_t chain = 0;
+  for (auto _ : state) {
+    if (next == receivers.size()) {
+      now = now + sim::Duration::millis(1);
+      fan_out(static_cast<std::uint32_t>(rng.uniform_int(0, kStations - 1)));
+      if (hint) {
+        for (const int stage : {0, 1}) {
+          for (const std::uint32_t r : receivers) tables[r]->prefetch(pv.address, stage);
+        }
+      }
+      next = 0;
+    }
+    // `chain` is 0, but the compiler cannot know it: the next table's
+    // address waits for this row's read, so no two chains overlap.
+    gn::LocationTable& table = *tables[receivers[next++] + chain];
+    const auto row = table.find(pv.address, now);
+    chain = row ? row->pv.timestamp.count() & opaque_zero : 0;
+    table.update(pv, now, true);
+  }
+}
+BENCHMARK(BM_LocationTableFanOut)->Arg(0)->Arg(1);
 
 void BM_GfSelect(benchmark::State& state) {
   gn::LocationTable table{sim::Duration::seconds(20.0)};

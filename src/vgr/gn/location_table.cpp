@@ -196,6 +196,16 @@ std::optional<LocTableEntry> LocationTable::find(net::GnAddress addr, sim::TimeP
   return entry_at(row);
 }
 
+void LocationTable::prefetch(net::GnAddress addr, int stage) const {
+  if (stage == 0) {
+    by_addr_.prefetch(addr.bits());
+  } else if (const std::uint32_t row = by_addr_.find(addr.bits()); row != kNpos) {
+    __builtin_prefetch(&pv_[row]);         // a 48-byte PvRow can straddle two lines:
+    __builtin_prefetch(&pv_[row].expiry);  // its first and last members cover both
+    __builtin_prefetch(&neighbor_[row]);
+  }
+}
+
 std::optional<LocTableEntry> LocationTable::find_by_mac(net::MacAddress mac,
                                                         sim::TimePoint now) const {
   // GN addresses embed the link-layer address; the MAC chain narrows the

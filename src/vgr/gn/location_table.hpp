@@ -62,6 +62,10 @@ class LocationTable {
   /// Live entry for `addr`, if any.
   [[nodiscard]] std::optional<LocTableEntry> find(net::GnAddress addr, sim::TimePoint now) const;
 
+  /// Cache hint for an upcoming update() of `addr`: stage 0 prefetches its
+  /// index slot, stage 1 the row that slot names. Reads only.
+  void prefetch(net::GnAddress addr, int stage) const;
+
   /// Live entry whose GN address embeds `mac`, if any (used by CBF to locate
   /// the previous sender from the frame's link-layer source).
   [[nodiscard]] std::optional<LocTableEntry> find_by_mac(net::MacAddress mac,
@@ -128,6 +132,10 @@ class LocationTable {
     void reserve(std::size_t keys);
     /// Value for `key`, or kNpos.
     [[nodiscard]] std::uint32_t find(std::uint64_t key) const;
+    /// Prefetches the slot where a probe for `key` starts.
+    void prefetch(std::uint64_t key) const {
+      if (!slots_.empty()) __builtin_prefetch(&slots_[mix(key) & (slots_.size() - 1)]);
+    }
     /// Inserts `key` (must be absent) with `value`.
     void insert(std::uint64_t key, std::uint32_t value);
     /// Overwrites the value of `key` (must be present).

@@ -42,9 +42,8 @@ Router::Router(sim::EventQueue& events, phy::Medium& medium, security::Signer si
       cbf_{events} {
   assert(trust_ != nullptr);
   timers_ = events_.make_cohort();
-  // Pre-size the location table for a dense neighbourhood so steady-state
-  // beacon ingest never reallocates its columns or indexes (the SoA memory
-  // plane's no-allocation invariant; ~10 KiB per router up front).
+  // Pre-size the location table past the small doubling steps (~10 KiB per
+  // router); at 7.5 m spacing a table holds ~280 rows and still grows past it.
   loc_table_.reserve(128);
   if (config_.scf_enabled) {
     scf_ = ScfBuffer{ScfConfig{config_.scf_max_packets, config_.scf_max_bytes}};
@@ -62,6 +61,7 @@ Router::Router(sim::EventQueue& events, phy::Medium& medium, security::Signer si
   node.position = [this] { return mobility_.position(); };
   node.tx_range_m = tx_range_m;
   node.promiscuous = false;
+  node.prefetch = [this](const phy::Frame& f, int stage) { prefetch_ingest(f, stage); };
   radio_ = medium_.add_node(std::move(node), [this](const phy::Frame& f, phy::RadioId) {
     if (running_) on_frame(f);
   });

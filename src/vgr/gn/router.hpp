@@ -140,6 +140,12 @@ class Router {
     if (running_) on_frame(frame);
   }
 
+  /// The medium's prefetch hint for an upcoming `ingest(frame)`: warms the
+  /// location-table lines its source-PV refresh touches. Reads only.
+  void prefetch_ingest(const phy::Frame& frame, int stage) const {
+    loc_table_.prefetch(frame.msg->packet().source_pv().address, stage);
+  }
+
   /// Overrides the next originated sequence number. A rebooting station
   /// calls this with a random draw so its post-reboot packets do not reuse
   /// sequence numbers its peers' duplicate detectors already hold (which

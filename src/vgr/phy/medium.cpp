@@ -28,6 +28,7 @@ void Medium::remove_node(RadioId id) {
   node.alive = false;
   node.rx = nullptr;
   node.config.position = nullptr;
+  node.config.prefetch = nullptr;
   node.inflight.clear();
   --live_nodes_;
   index_dirty_ = true;
@@ -159,7 +160,9 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
     }
   }
 
-  for (const std::uint32_t id : candidates_) {
+  std::size_t hinted = 0;  // hinted receivers, compacted in place into candidates_
+  for (std::size_t c = 0; c < candidates_.size(); ++c) {
+    const std::uint32_t id = candidates_[c];
     if (id == sender.value) continue;
     Node& node = nodes_[id - 1];
     if (!node.alive) continue;
@@ -235,6 +238,15 @@ void Medium::transmit_impl(RadioId sender, std::shared_ptr<const Frame> frame,
       ++frames_delivered_;
       receiver.rx(*frame_ptr, sender);
     });
+    if (node.config.prefetch) candidates_[hinted++] = id;
+  }
+
+  // Warm every receiver's cache-miss chain head (stage 0) before its next link
+  // (stage 1), so the chains overlap across receivers. Hints only read.
+  for (int stage = 0; stage < 2; ++stage) {
+    for (std::size_t c = 0; c < hinted; ++c) {
+      nodes_[candidates_[c] - 1].config.prefetch(*frame, stage);
+    }
   }
 }
 

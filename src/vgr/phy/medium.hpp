@@ -89,6 +89,10 @@ class Medium {
     /// it can reach and what it can overhear (§III-A, §IV-A).
     double rx_range_m{0.0};
     bool promiscuous{false};
+    /// Optional read-only hint for each receiver a transmission schedules a
+    /// delivery to, run before any of them fires: stage 0 for all in
+    /// ascending RadioId, then stage 1 for all. It may only prefetch.
+    std::function<void(const Frame&, int stage)> prefetch{};
   };
 
   /// Registers a node; `rx` fires for every frame the node receives.
@@ -257,7 +261,7 @@ class Medium {
   /// when the sender's power would not reach it.
   double max_rx_range_m_{0.0};
   std::uint64_t index_rebuilds_{0};
-  std::vector<std::uint32_t> candidates_;  ///< query scratch (hot path)
+  std::vector<std::uint32_t> candidates_;  ///< query scratch, then hinted receivers
   std::vector<SpatialGrid::Entry> index_entries_;  ///< rebuild scratch (hot path)
   /// Node positions captured at the last index rebuild, slot-indexed like
   /// nodes_. With the index on, the delivery fan-out reads these instead of

@@ -194,6 +194,35 @@ TEST(LocationTable, ErasedNeighborRelearnedAsNew) {
   EXPECT_TRUE(t.update(pv(1, 140.0, t0 + 1_s), t0 + 1_s, true));
 }
 
+TEST(LocationTable, PrefetchIsAPureRead) {
+  // The medium runs the hint for every receiver of a transmission, whatever
+  // the table holds: it must never change what the table stores.
+  LocationTable t{20_s};
+  const auto t0 = sim::TimePoint::origin();
+  const net::GnAddress present = pv(1, 0).address;
+  const net::GnAddress absent = pv(2, 0).address;
+  for (const int stage : {0, 1}) t.prefetch(present, stage);  // no index allocated yet
+  EXPECT_EQ(t.raw_size(), 0u);
+  EXPECT_FALSE(t.find(present, t0).has_value());
+
+  t.update(pv(1, 100.0, t0), t0, true);
+  for (const int stage : {0, 1}) {
+    t.prefetch(present, stage);
+    t.prefetch(absent, stage);
+  }
+  EXPECT_EQ(t.raw_size(), 1u);
+  const auto entry = t.find(present, t0);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_DOUBLE_EQ(entry->pv.position.x, 100.0);
+  EXPECT_TRUE(entry->is_neighbor);
+  EXPECT_FALSE(t.find(absent, t0).has_value());
+
+  t.erase(present);  // leaves a tombstone in the index
+  for (const int stage : {0, 1}) t.prefetch(present, stage);
+  EXPECT_EQ(t.raw_size(), 0u);
+  EXPECT_FALSE(t.find(present, t0).has_value());
+}
+
 class TtlSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TtlSweep, ExpiryHonorsConfiguredTtl) {

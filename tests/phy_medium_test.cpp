@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "vgr/phy/medium.hpp"
@@ -101,6 +102,42 @@ TEST_F(MediumTest, PromiscuousNodeOverhearsUnicast) {
   medium_.transmit(a.id, f);
   settle();
   EXPECT_EQ(sniffer.received.size(), 1u);
+}
+
+TEST_F(MediumTest, PrefetchHintPrecedesDeliveries) {
+  // (mac, stage) per hint call and (mac, -1) per delivery, in call order.
+  std::vector<std::pair<std::uint64_t, int>> log;
+  const auto add_logged = [&](geo::Position pos, std::uint64_t mac, bool promiscuous,
+                              bool hinted) {
+    Medium::NodeConfig cfg;
+    cfg.mac = net::MacAddress{mac};
+    cfg.position = [pos] { return pos; };
+    cfg.tx_range_m = 100.0;
+    cfg.promiscuous = promiscuous;
+    if (hinted) {
+      cfg.prefetch = [&log, mac](const Frame&, int stage) { log.emplace_back(mac, stage); };
+    }
+    return medium_.add_node(std::move(cfg),
+                            [&log, mac](const Frame&, RadioId) { log.emplace_back(mac, -1); });
+  };
+  // RadioIds are issued in this order, so ascending RadioId is ascending mac.
+  const RadioId sender = add_logged({0, 0}, 1, false, true);
+  add_logged({10, 0}, 2, false, true);   // unicast destination
+  add_logged({20, 0}, 3, false, true);   // bystander, MAC-filtered
+  add_logged({30, 0}, 4, true, true);    // promiscuous sniffer
+  add_logged({500, 0}, 5, true, true);   // out of range
+  add_logged({40, 0}, 6, true, false);   // no hint, still receives
+
+  Frame f = broadcast_frame(1);
+  f.dst = net::MacAddress{2};
+  medium_.transmit(sender, f);
+  const std::vector<std::pair<std::uint64_t, int>> hints{{2, 0}, {4, 0}, {2, 1}, {4, 1}};
+  EXPECT_EQ(log, hints);  // all hints ran inside transmit, before any delivery
+
+  settle();
+  std::vector<std::pair<std::uint64_t, int>> expected = hints;
+  expected.insert(expected.end(), {{2, -1}, {4, -1}, {6, -1}});  // nearest first
+  EXPECT_EQ(log, expected);
 }
 
 TEST_F(MediumTest, RangeOverrideAppliesToSingleFrame) {
