@@ -10,22 +10,12 @@
 
 namespace vgr::gn {
 
-/// What Greedy Forwarding does when no neighbour offers progress toward the
-/// destination (ETSI EN 302 636-4-1 §E.2: buffer when store-carry-forward is
-/// enabled, otherwise fall back to a broadcast).
-enum class GfFallback { kBuffer, kBroadcast, kDrop };
-
 /// Protocol constants and mitigation switches for one router instance.
 /// Defaults follow ETSI EN 302 636-4-1 and the paper's simulation settings.
 struct RouterConfig {
   // --- Beaconing (§III-B: every 3 s with a random jitter within 0.75 s).
   sim::Duration beacon_interval{sim::Duration::seconds(3.0)};
   sim::Duration beacon_jitter{sim::Duration::seconds(0.75)};
-  /// ETSI §8.3: any transmitted GN packet restarts the beacon timer — a
-  /// station whose own packets and forwards already advertise its PV sends
-  /// no extra beacons. Disable to force fixed-cadence beaconing regardless of
-  /// traffic.
-  bool beacon_suppression_on_activity{true};
 
   // --- Duplicate address detection (ETSI §10.2.1.5): hearing one's own GN
   //     address from another station signals an address conflict. Note the
@@ -59,7 +49,6 @@ struct RouterConfig {
   sim::Duration default_lifetime{sim::Duration::seconds(60.0)};
 
   // --- Greedy forwarding.
-  GfFallback gf_fallback{GfFallback::kBuffer};
   sim::Duration gf_retry_interval{sim::Duration::millis(500)};
 
   // --- ACK'd forwarding (extension). The paper's §V-A dismisses per-hop

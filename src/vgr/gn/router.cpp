@@ -421,8 +421,7 @@ void Router::hop_confirm_give_up(const CbfKey& key) {
   AckPending& pending = it->second;
   events_.cancel(pending.timer);
   if (config_.retx_enabled) ++stats_.retx_exhausted;
-  if (config_.retx_enabled && config_.scf_enabled &&
-      config_.gf_fallback == GfFallback::kBuffer) {
+  if (config_.retx_enabled && config_.scf_enabled) {
     // Out of hops and attempts, but not out of lifetime: park the packet in
     // the SCF buffer — a new neighbour or the retry tick gives it another
     // chance.
@@ -600,22 +599,12 @@ void Router::gf_route(security::SecuredMessagePtr msg, geo::Position destination
       ++stats_.gf_plausibility_rejections;
     }
   }
-  switch (config_.gf_fallback) {
-    case GfFallback::kBroadcast:
-      transmit(msg, net::MacAddress::broadcast());
-      ++stats_.gf_broadcast_fallbacks;
-      return;
-    case GfFallback::kBuffer: {
-      const sim::TimePoint expiry = scf_expiry(msg->packet());
-      scf_.push(std::move(msg), destination, expiry);
-      ++stats_.gf_buffered;
-      schedule_gf_retry();
-      return;
-    }
-    case GfFallback::kDrop:
-      ++stats_.gf_drops;
-      return;
-  }
+  // No neighbour offers progress: buffer until one does (or the packet
+  // expires, which counts as a gf_drop).
+  const sim::TimePoint expiry = scf_expiry(msg->packet());
+  scf_.push(std::move(msg), destination, expiry);
+  ++stats_.gf_buffered;
+  schedule_gf_retry();
 }
 
 sim::TimePoint Router::scf_expiry(const net::Packet& p) const {
@@ -681,10 +670,10 @@ void Router::deliver(const security::SecuredMessagePtr& msg, net::MacAddress fro
 
 void Router::transmit(const security::SecuredMessagePtr& msg, net::MacAddress dst) {
   // Any outgoing GN packet proves our liveness/position to neighbours, so
-  // the beacon timer restarts (ETSI beacon service). Beacons themselves are
+  // the beacon timer restarts (ETSI beacon service §8.3): a station that is
+  // already forwarding sends no bare beacons. Beacons themselves are
   // rescheduled by their own send path.
-  if (config_.beacon_suppression_on_activity && !msg->packet().is_beacon() &&
-      events_.pending(beacon_event_)) {
+  if (!msg->packet().is_beacon() && events_.pending(beacon_event_)) {
     events_.cancel(beacon_event_);
     schedule_beacon();
   }

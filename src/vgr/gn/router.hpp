@@ -30,7 +30,6 @@ struct RouterStats {
   std::uint64_t guc_originated{0};
   std::uint64_t delivered{0};
   std::uint64_t gf_unicast_forwards{0};
-  std::uint64_t gf_broadcast_fallbacks{0};
   std::uint64_t gf_buffered{0};
   std::uint64_t gf_drops{0};
   std::uint64_t gf_plausibility_rejections{0};

@@ -41,10 +41,6 @@ std::size_t EventQueue::cancel_cohort(CohortId cohort) {
   live_count_ -= retired;
   c.pending = 0;
   ++c.gen;
-  if (cache_valid_) {
-    const Slot& s = slot_at(cache_.slot);
-    if (s.owner == cache_.id && s.cohort == cohort.value) cache_valid_ = false;
-  }
   return retired;
 }
 
@@ -58,11 +54,10 @@ bool EventQueue::cancel(EventId id) {
     --cohort_ref(s.cohort).pending;
   }
   // Either way the slot's callable is done for; collect it eagerly (the
-  // calendar record is dropped lazily when it surfaces).
+  // heap record is dropped lazily when it surfaces).
   s.destroy(s.storage);
   s.owner = 0;
   free_slots_.push_back(id.slot);
-  if (cache_valid_ && cache_.id == id.value) cache_valid_ = false;
   return was_live;
 }
 
@@ -88,106 +83,19 @@ void EventQueue::collect_dead(const Rec& r) {
   }
 }
 
-void EventQueue::cleanup_top(std::vector<Rec>& bucket) {
-  while (!bucket.empty() && rec_dead(bucket.front())) {
-    collect_dead(bucket.front());
-    std::pop_heap(bucket.begin(), bucket.end(), RecAfter{});
-    bucket.pop_back();
-    --recs_;
+const EventQueue::Rec* EventQueue::top_live() {
+  while (!heap_.empty() && rec_dead(heap_.front())) {
+    collect_dead(heap_.front());
+    std::pop_heap(heap_.begin(), heap_.end(), RecAfter{});
+    heap_.pop_back();
   }
+  return heap_.empty() ? nullptr : &heap_.front();
 }
 
-void EventQueue::insert_rec(TimePoint when, std::uint64_t id, std::uint32_t slot) {
-  if (recs_ + 1 > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    rebuild_buckets(buckets_.size() * 2);
-  }
-  auto& bucket = buckets_[static_cast<std::size_t>(tick_of(when)) & bucket_mask_];
-  bucket.push_back(Rec{when, id, slot});
-  std::push_heap(bucket.begin(), bucket.end(), RecAfter{});
-  ++recs_;
-  // A strictly earlier event displaces the cached minimum (ties cannot:
-  // the fresh id is the largest issued, so FIFO keeps the cache in front).
-  if (cache_valid_ && when < cache_.when) {
-    cache_ = Rec{when, id, slot};
-    cache_bucket_ = static_cast<std::size_t>(tick_of(when)) & bucket_mask_;
-  }
-}
-
-void EventQueue::rebuild_buckets(std::size_t new_count) {
-  std::vector<std::vector<Rec>> fresh(new_count);
-  const std::size_t mask = new_count - 1;
-  for (auto& bucket : buckets_) {
-    for (const Rec& r : bucket) {
-      if (rec_dead(r)) {  // resize doubles as a purge of retired entries
-        collect_dead(r);
-        --recs_;
-        continue;
-      }
-      fresh[static_cast<std::size_t>(tick_of(r.when)) & mask].push_back(r);
-    }
-  }
-  for (auto& bucket : fresh) std::make_heap(bucket.begin(), bucket.end(), RecAfter{});
-  buckets_ = std::move(fresh);
-  bucket_mask_ = mask;
-  cache_valid_ = false;
-}
-
-const EventQueue::Rec* EventQueue::peek() {
-  if (cache_valid_) return &cache_;
-  if (recs_ == 0) return nullptr;
-  // Scan one year of buckets starting at the current instant's tick. Every
-  // record satisfies when >= now_, so nothing can hide behind the start.
-  const std::uint64_t start = tick_of(now_);
-  const std::size_t nb = buckets_.size();
-  for (std::size_t i = 0; i < nb; ++i) {
-    const std::uint64_t t = start + i;
-    auto& bucket = buckets_[static_cast<std::size_t>(t) & bucket_mask_];
-    cleanup_top(bucket);
-    if (recs_ == 0) return nullptr;
-    if (!bucket.empty() && tick_of(bucket.front().when) == t) {
-      cache_ = bucket.front();
-      cache_bucket_ = static_cast<std::size_t>(t) & bucket_mask_;
-      cache_valid_ = true;
-      return &cache_;
-    }
-  }
-  // Nothing within a year of now: fall back to the global minimum (rare —
-  // an idle queue holding only far-horizon soft-state timers).
-  const Rec* best = nullptr;
-  std::size_t best_bucket = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    cleanup_top(buckets_[b]);
-    if (buckets_[b].empty()) continue;
-    const Rec& top = buckets_[b].front();
-    if (best == nullptr || RecAfter{}(*best, top)) {
-      best = &top;
-      best_bucket = b;
-    }
-  }
-  if (best == nullptr) return nullptr;
-  cache_ = *best;
-  cache_bucket_ = best_bucket;
-  cache_valid_ = true;
-  return &cache_;
-}
-
-void EventQueue::pop_front() {
-  assert(cache_valid_);
-  auto& bucket = buckets_[cache_bucket_];
-  std::pop_heap(bucket.begin(), bucket.end(), RecAfter{});
-  bucket.pop_back();
-  --recs_;
-  cache_valid_ = false;
-  if (recs_ < buckets_.size() / 8 && buckets_.size() > kMinBuckets) {
-    rebuild_buckets(buckets_.size() / 2);
-  }
-}
-
-bool EventQueue::step() {
-  const Rec* top = peek();
-  if (top == nullptr) return false;
-  const Rec r = *top;
-  pop_front();
+void EventQueue::fire_top() {
+  const Rec r = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), RecAfter{});
+  heap_.pop_back();
   Slot& s = slot_at(r.slot);
   assert(r.when >= now_);
   now_ = r.when;
@@ -202,15 +110,20 @@ bool EventQueue::step() {
   s.invoke(s.storage);
   s.destroy(s.storage);
   free_slots_.push_back(r.slot);
+}
+
+bool EventQueue::step() {
+  if (top_live() == nullptr) return false;
+  fire_top();
   return true;
 }
 
 void EventQueue::run_until(TimePoint until) {
   const bool budgeted = budget_events_end_ != 0 || has_wall_deadline_;
   for (;;) {
-    // peek() surfaces only live events, so a cancelled event sitting at
-    // the boundary cannot admit a later one past `until`.
-    const Rec* top = peek();
+    // top_live() surfaces only live events, so a cancelled event sitting
+    // at the boundary cannot admit a later one past `until`.
+    const Rec* top = top_live();
     if (top == nullptr || top->when > until) break;
     if (budgeted) {
       const BudgetTrip trip = budget_tripped();
@@ -220,7 +133,7 @@ void EventQueue::run_until(TimePoint until) {
         break;
       }
     }
-    step();
+    fire_top();
   }
   if (now_ < until) now_ = until;
 }

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -47,15 +47,15 @@ enum class BudgetTrip : std::uint8_t { kNone, kEvents, kWall };
 ///
 /// Memory plane (ROADMAP item 4): callbacks live in fixed-size slots of a
 /// slab allocator (no per-schedule heap allocation as long as the callable
-/// fits `kInlineCallbackBytes`), and the pending set is a bucketed calendar
-/// queue — per-bucket min-heaps of 24-byte records over a power-of-two ring
-/// of ~0.5 ms buckets — instead of one large binary heap of std::functions.
-/// Events can be scheduled into a *cohort*; `cancel_cohort` retires every
-/// pending member in O(1) by bumping the cohort's generation counter, which
-/// is how CBF contention cancellation and router teardown avoid tombstoning
-/// thousands of timers one by one. Determinism is unaffected: a retired
-/// event is skipped exactly where it would have fired, so the relative
-/// order of surviving events never changes.
+/// fits `kInlineCallbackBytes`), and the pending set is one binary min-heap
+/// of 24-byte (when, id, slot) records. Cancelled records stay in the heap
+/// and are dropped when they reach the top. Events can be scheduled into a
+/// *cohort*; `cancel_cohort` retires every pending member in O(1) by
+/// bumping the cohort's generation counter, which is how CBF contention
+/// cancellation and router teardown avoid tombstoning thousands of timers
+/// one by one. Determinism is unaffected: a retired event is skipped
+/// exactly where it would have fired, so the relative order of surviving
+/// events never changes.
 class EventQueue {
  public:
   /// Callables up to this size (and max_align_t alignment) are stored
@@ -63,10 +63,6 @@ class EventQueue {
   /// allocation. Sized for the fattest steady-state capture (the medium's
   /// per-receiver delivery closure) with headroom.
   static constexpr std::size_t kInlineCallbackBytes = 96;
-
-  /// Source-compat alias: std::function still schedules fine (it is simply
-  /// stored inline like any other callable).
-  using Callback = std::function<void()>;
 
   EventQueue() = default;
   ~EventQueue();
@@ -115,7 +111,8 @@ class EventQueue {
     s.gen = co.gen;
     ++co.pending;
     ++live_count_;
-    insert_rec(when, id.value, slot_idx);
+    heap_.push_back(Rec{when, id.value, slot_idx});
+    std::push_heap(heap_.begin(), heap_.end(), RecAfter{});
     return id;
   }
 
@@ -132,7 +129,7 @@ class EventQueue {
   CohortId make_cohort();
 
   /// Retires every pending event of `cohort` in O(1) (generation bump; the
-  /// calendar entries are skipped lazily where they would have fired).
+  /// heap records are skipped lazily where they would have fired).
   /// Returns how many events were retired. The cohort stays usable for new
   /// schedules. Note: individual EventIds of retired events flip to
   /// not-pending, but cancel() on them returns false — the cohort already
@@ -203,46 +200,34 @@ class EventQueue {
   }
   [[nodiscard]] std::uint32_t acquire_slot();
 
-  // --- Calendar queue ---------------------------------------------------
-  // Power-of-two ring of buckets, each a min-heap (std::push_heap/pop_heap
-  // over a contiguous vector) ordered by (when, id). Bucket width is fixed
-  // at 2^19 ns ≈ 0.52 ms — the scale of airtime/contention timers — and
-  // the bucket count adapts to the pending population, which also widens
-  // the "year" (bucket_count × width) that one peek scan covers.
+  // --- Pending set ------------------------------------------------------
+  // One min-heap (std::push_heap/pop_heap over a contiguous vector) ordered
+  // by (when, id). (when, id) is a strict total order, so the fire sequence
+  // does not depend on the heap's internal layout.
   struct Rec {
     TimePoint when;
     std::uint64_t id;
     std::uint32_t slot;
   };
-  static constexpr std::uint32_t kBucketWidthLog2 = 19;
-  static constexpr std::size_t kMinBuckets = 256;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16U;
 
   // Heap comparator: treating "fires later" as less puts the earliest
-  // record at the front of each bucket's heap.
+  // record at the front of the heap.
   struct RecAfter {
     bool operator()(const Rec& a, const Rec& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.id > b.id;  // FIFO among equal timestamps
     }
   };
-  [[nodiscard]] static std::uint64_t tick_of(TimePoint t) {
-    return static_cast<std::uint64_t>(t.count()) >> kBucketWidthLog2;
-  }
 
-  void insert_rec(TimePoint when, std::uint64_t id, std::uint32_t slot);
-  /// Earliest live record, skipping (and collecting) retired ones; null
-  /// when drained. The result is cached until the queue changes shape.
-  [[nodiscard]] const Rec* peek();
-  /// Removes the record returned by the last peek().
-  void pop_front();
-  /// Pops retired records off the top of one bucket heap.
-  void cleanup_top(std::vector<Rec>& bucket);
+  /// Earliest live record, popping (and collecting) retired ones off the
+  /// top; null when drained.
+  [[nodiscard]] const Rec* top_live();
+  /// Pops the top record (which top_live() just returned) and fires it.
+  void fire_top();
   [[nodiscard]] bool rec_dead(const Rec& r) const;
   /// Releases the slot of a retired record (destroying the callable) if the
   /// cohort retirement left it uncollected.
   void collect_dead(const Rec& r);
-  void rebuild_buckets(std::size_t new_count);
 
   [[nodiscard]] BudgetTrip budget_tripped();
 
@@ -276,17 +261,7 @@ class EventQueue {
 
   std::vector<Cohort> cohorts_{Cohort{}};  // [0] = default, never retired
 
-  std::vector<std::vector<Rec>> buckets_ = make_initial_buckets();
-  std::size_t bucket_mask_{kMinBuckets - 1};
-  std::size_t recs_{0};  ///< total calendar entries, live + retired
-
-  bool cache_valid_{false};
-  Rec cache_{};
-  std::size_t cache_bucket_{0};
-
-  static std::vector<std::vector<Rec>> make_initial_buckets() {
-    return std::vector<std::vector<Rec>>(kMinBuckets);
-  }
+  std::vector<Rec> heap_;  ///< live and retired records
 };
 
 }  // namespace vgr::sim

@@ -59,16 +59,6 @@ class RouterEdgeTest : public ::testing::Test {
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 
-TEST_F(RouterEdgeTest, GfDropFallbackDiscardsImmediately) {
-  RouterConfig cfg = default_config();
-  cfg.gf_fallback = GfFallback::kDrop;
-  Node& a = add_node(0.0, cfg);
-  a.router->send_geo_broadcast(geo::GeoArea::circle({2000.0, 0.0}, 50.0), {1});
-  run_for(100_ms);
-  EXPECT_EQ(a.router->stats().gf_drops, 1u);
-  EXPECT_EQ(a.router->stats().gf_buffered, 0u);
-}
-
 TEST_F(RouterEdgeTest, BufferedPacketExpiresWithoutNeighbors) {
   RouterConfig cfg = default_config();
   cfg.gf_retry_interval = 100_ms;  // expiry = 20 * retry interval = 2 s

@@ -178,16 +178,6 @@ TEST_F(RouterTest, GfBuffersWhenNoNeighborOffersProgress) {
   EXPECT_EQ(a.router->stats().gf_unicast_forwards, 1u);
 }
 
-TEST_F(RouterTest, GfBroadcastFallbackWhenConfigured) {
-  RouterConfig cfg = default_config();
-  cfg.gf_fallback = GfFallback::kBroadcast;
-  Node& a = add_node(0.0, kRange, cfg);
-  exchange_beacons();
-  a.router->send_geo_broadcast(geo::GeoArea::circle({2000.0, 0.0}, 60.0), {1});
-  run_for(100_ms);
-  EXPECT_EQ(a.router->stats().gf_broadcast_fallbacks, 1u);
-}
-
 TEST_F(RouterTest, GeoUnicastDeliversOnlyToDestination) {
   Node& a = add_node(0.0);
   Node& b = add_node(400.0);

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "vgr/geo/area.hpp"
@@ -91,31 +95,88 @@ TEST(CodecFuzz, TamperedSignedBytesAlwaysBreakSignature) {
 
 // --- Event queue under random interleavings ----------------------------------
 
+// Reference-model check: every event is named by its schedule order, and the
+// model keeps the pending ones sorted by (when, order) with cancelled and
+// cohort-retired events removed, so its front is the event the queue must
+// fire next. The action mix covers single schedules, bursts at one
+// timestamp, cancels, cohort retirement and callbacks that schedule at now().
 TEST(EventQueueProperty, RandomScheduleCancelKeepsMonotonicTime) {
   sim::Rng rng{31337};
   sim::EventQueue q;
-  std::vector<sim::EventId> ids;
+  const std::array<sim::CohortId, 4> cohorts{sim::CohortId{}, q.make_cohort(), q.make_cohort(),
+                                             q.make_cohort()};
+  std::set<std::pair<std::int64_t, int>> model;  // pending (when ns, order)
+  std::vector<sim::EventId> ids;                  // by order
+  std::vector<std::int64_t> when_of;              // by order
+  std::vector<std::size_t> cohort_of;             // by order, index into cohorts
+  std::vector<int> fired;                         // orders, as the queue fired them
+  std::vector<int> expected;                      // orders, as the model pops them
   std::int64_t last_seen = -1;
-  int fired = 0;
 
-  for (int i = 0; i < 2000; ++i) {
+  std::function<void(sim::TimePoint, std::size_t, bool)> schedule =
+      [&](sim::TimePoint when, std::size_t cohort, bool spawns) {
+        const int order = static_cast<int>(ids.size());
+        ids.push_back(q.schedule_at(when, cohorts[cohort], [&, order, cohort, spawns] {
+          const std::int64_t now = q.now().count();
+          EXPECT_GE(now, last_seen);
+          last_seen = now;
+          fired.push_back(order);
+          if (spawns) schedule(q.now(), cohort, false);
+        }));
+        when_of.push_back(when.count());
+        cohort_of.push_back(cohort);
+        model.emplace(when.count(), order);
+      };
+  const auto random_cohort = [&] { return static_cast<std::size_t>(rng.uniform_int(0, 3)); };
+
+  for (int i = 0; i < 3000; ++i) {
     const double action = rng.uniform();
-    if (action < 0.6) {
-      ids.push_back(q.schedule_in(sim::Duration::millis(rng.uniform_int(0, 50)), [&] {
-        const std::int64_t now = q.now().count();
-        EXPECT_GE(now, last_seen);
-        last_seen = now;
-        ++fired;
-      }));
-    } else if (action < 0.8 && !ids.empty()) {
-      q.cancel(ids[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))]);
+    if (action < 0.45) {
+      schedule(q.now() + sim::Duration::millis(rng.uniform_int(0, 50)), random_cohort(),
+               rng.uniform() < 0.2);
+    } else if (action < 0.55) {
+      const sim::TimePoint when = q.now() + sim::Duration::millis(rng.uniform_int(0, 5));
+      for (std::int64_t n = rng.uniform_int(2, 4); n > 0; --n) {
+        schedule(when, random_cohort(), rng.uniform() < 0.2);
+      }
+    } else if (action < 0.72 && !ids.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+      const bool was_pending = model.count({when_of[k], static_cast<int>(k)}) > 0;
+      EXPECT_EQ(q.pending(ids[k]), was_pending);
+      EXPECT_EQ(q.cancel(ids[k]), was_pending);
+      model.erase({when_of[k], static_cast<int>(k)});
+    } else if (action < 0.75) {
+      // Retire 2 or 3 of the three non-default cohorts.
+      const auto skip = static_cast<std::size_t>(rng.uniform_int(1, 4));  // 4 = none
+      for (std::size_t c = 1; c < cohorts.size(); ++c) {
+        if (c == skip) continue;
+        std::size_t members = 0;
+        for (auto it = model.begin(); it != model.end();) {
+          if (cohort_of[static_cast<std::size_t>(it->second)] == c) {
+            it = model.erase(it);
+            ++members;
+          } else {
+            ++it;
+          }
+        }
+        EXPECT_EQ(q.cancel_cohort(cohorts[c]), members);
+      }
     } else {
-      q.step();
+      const bool any_pending = !model.empty();
+      if (any_pending) {
+        expected.push_back(model.begin()->second);
+        model.erase(model.begin());
+      }
+      EXPECT_EQ(q.step(), any_pending);
+      ASSERT_EQ(fired, expected);
     }
+    ASSERT_EQ(q.pending_count(), model.size()) << "action " << i;
   }
   q.run_until(q.now() + 1_s);
-  EXPECT_GT(fired, 0);
+  for (const auto& [when, order] : model) expected.push_back(order);
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(fired.size(), 500u);
   EXPECT_EQ(q.pending_count(), 0u);
 }
 
